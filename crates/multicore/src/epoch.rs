@@ -15,14 +15,18 @@
 //!
 //! Two independent views of the same fan-out:
 //!
-//! * **Real parallelism** — shard threads genuinely run on other cores
-//!   ([`run_epoch_dift`] with threads, [`epoch_process_stream`] for a
-//!   pre-captured stream), so wall-clock analysis throughput scales
-//!   with cores.
-//! * **Modeled timing** — [`EpochModel`] extends [`ChannelModel`] with a
-//!   fan-out steering cost, per-shard bounded queues
-//!   ([`MultiQueueSim`]), and a per-epoch composition charge at the
-//!   barrier; reported cycles stay deterministic and host-independent.
+//! * **Real parallelism** — shard threads genuinely run on other cores.
+//!   [`epoch_process_stream`] is the taint instance of the crate's one
+//!   epoch-stream core (`crate::stream`, shared with
+//!   [`crate::lineage_shard`]): workers claim epochs of a pre-captured
+//!   stream from a shared counter, and the caller composes.
+//! * **Modeled timing** — the channel runner, [`run_epoch_dift`], keeps
+//!   the VM in the loop: the producer steers whole epochs round-robin
+//!   over per-shard channels to incremental shard loops, and
+//!   [`EpochModel`] extends [`ChannelModel`] with a fan-out steering
+//!   cost, per-shard bounded queues ([`MultiQueueSim`]), and a
+//!   per-epoch composition charge at the barrier; reported cycles stay
+//!   deterministic and host-independent.
 //!
 //! ## Fault tolerance
 //!
@@ -32,16 +36,18 @@
 //! shard panics are caught per epoch, stalled shards are detected by
 //! progress watermarks and abandoned, surviving summaries must pass a
 //! record-count integrity check, and whatever is lost is re-summarized
-//! on spare shards ([`RecoveryPolicy::max_retries`] rounds) and finally
-//! inline on the main thread — the graceful degradation to serial DIFT,
-//! which cannot fail. Faults themselves are injected deterministically
-//! through a [`FaultPlan`] ([`NoopFaults`] by default, which compiles
-//! every injection site away). See DESIGN.md §11.
+//! on spare shards ([`RecoveryPolicy::max_retries`] rounds, each epoch
+//! through the stream core's fault-checked per-epoch attempt) and
+//! finally inline on the main thread — the graceful degradation to
+//! serial DIFT, which cannot fail. Faults themselves are injected
+//! deterministically through a [`FaultPlan`] ([`NoopFaults`] by default,
+//! which compiles every injection site away). See DESIGN.md §11.
 
 use crate::channel::{ChannelModel, MultiQueueSim};
 use crate::faultplan::{FaultPlan, FaultSite, NoopFaults, INJECTED_PANIC_MARKER};
 use crate::helper::{panic_message, DiftRun, MulticoreStats, BATCH_SIZE};
 use crate::resilience::{RecoveryPolicy, RecoveryStats};
+use crate::stream::{attempt, run_epochs, Attempt};
 use crossbeam::channel as xbeam;
 use dift_dbi::{Engine, Tool};
 use dift_obs::{Metric, NoopRecorder, Recorder};
@@ -51,8 +57,8 @@ use dift_taint::{
 use dift_vm::{Machine, RunResult, StepEffects};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -437,29 +443,6 @@ fn shard_loop<T: TaintLabel, F: FaultPlan>(
     let _ = out.send(ShardMsg::Done { shard, faults: faults_fired });
 }
 
-/// Re-summarize a retained epoch from its batches. This is exactly the
-/// serial DIFT computation over the epoch, so with `corrupt == false` it
-/// cannot fail and its result is bit-identical to what a healthy shard
-/// would have produced.
-fn resummarize<T: TaintLabel>(
-    r: &RetainedEpoch,
-    policy: TaintPolicy,
-    corrupt: bool,
-) -> EpochSummary<T> {
-    let mut s = EpochSummarizer::<T>::new(policy, &r.base);
-    let mut drop_first = corrupt;
-    for batch in &r.batches {
-        for fx in batch.iter() {
-            if drop_first {
-                drop_first = false;
-                continue;
-            }
-            s.step(fx);
-        }
-    }
-    s.finish()
-}
-
 /// Run `machine` with taint propagation fanned out across
 /// `model.workers` helper shards, composing epoch summaries into a
 /// final engine bit-identical to the serial offload. Fail-stop: a shard
@@ -481,22 +464,12 @@ pub fn run_epoch_dift<T: TaintLabel + Send + 'static>(
     .0
 }
 
-/// [`run_epoch_dift`] with an observability recorder threaded through
-/// the offloader (messages, stalls, queue occupancy, batches) and the
-/// shard/compose stages (per-shard epoch latency, compose time). The
-/// recorder is returned alongside the run so callers can snapshot it;
-/// with [`NoopRecorder`] every probe compiles away.
-pub fn run_epoch_dift_obs<T: TaintLabel + Send + 'static, R: Recorder>(
-    machine: Machine,
-    model: EpochModel,
-    policy: TaintPolicy,
-    obs: R,
-) -> (DiftRun<T>, R) {
-    run_epoch_dift_tolerant(machine, model, policy, obs, NoopFaults, RecoveryPolicy::fail_stop())
-}
-
-/// The fault-tolerant epoch runner: [`run_epoch_dift_obs`] plus a
-/// [`FaultPlan`] adversary and a [`RecoveryPolicy`].
+/// The fault-tolerant epoch runner: [`run_epoch_dift`] plus an
+/// observability recorder, a [`FaultPlan`] adversary and a
+/// [`RecoveryPolicy`]. The recorder sees the offloader (messages, stalls,
+/// queue occupancy, batches), the shard and compose stages and the
+/// recovery ledger, and is returned alongside the run so callers can
+/// snapshot it; with [`NoopRecorder`] every probe compiles away.
 ///
 /// With recovery enabled the run **always completes** with results
 /// bit-identical to the serial engine, whatever single or multiple
@@ -706,17 +679,21 @@ where
         ..RecoveryStats::default()
     };
 
-    let retained = off.retained;
+    let retained = &off.retained;
     // Cycles of helper work re-done during recovery (charged to the
     // modeled completion below; exactly 0 on a fault-free run).
     let mut recovered_records = 0u64;
     if retain {
         // Validation: an epoch survives only if its summary exists and
         // saw exactly the records the producer shipped — the integrity
-        // check that catches silent corruption and partial delivery.
-        let lost: Vec<usize> = (0..total)
+        // check that catches silent corruption and partial delivery. A
+        // failed summary is dropped, so only a valid one can refill it.
+        let mut lost: Vec<usize> = (0..total)
             .filter(|&e| summaries[e].as_ref().is_none_or(|s| s.instrs() != retained[e].records))
             .collect();
+        for &e in &lost {
+            summaries[e] = None;
+        }
         rs.epochs_lost = lost.len() as u64;
         recovered_records = lost.iter().map(|&e| retained[e].records).sum();
         let reason = |e: usize| -> String {
@@ -730,70 +707,50 @@ where
                 },
             }
         };
+        // Recovery re-runs an epoch from its retained batches, flattened.
+        let records = |e: usize| -> Vec<StepEffects> {
+            retained[e].batches.iter().flat_map(|b| b.iter().cloned()).collect()
+        };
+        let summarize =
+            |fxs: &[StepEffects], base: &IoBase, _| summarize_epoch::<T>(fxs, helper_policy, base);
 
-        let mut lost = lost;
         // Retry rounds: a fresh spare shard (a new thread with a new
         // shard index, so a pure fault plan sees fresh coordinates)
-        // re-summarizes the lost epochs from retained batches.
+        // re-runs the lost epochs through the stream core's attempt.
         for round in 0..recovery.max_retries {
             if lost.is_empty() {
                 break;
             }
             let spare = model.workers + round as usize;
-            let plan = faults.clone();
-            let retained_ref = &retained;
-            let lost_ref = &lost;
-            type Attempt<T> = (usize, Option<(EpochSummary<T>, u64)>, u64);
-            let attempts: Vec<Attempt<T>> = thread::scope(|sc| {
+            let (plan, lost_ref, summarize) = (faults.clone(), &lost, &summarize);
+            let attempts: Vec<_> = thread::scope(|sc| {
                 sc.spawn(move || {
-                    let mut out: Vec<Attempt<T>> = Vec::with_capacity(lost_ref.len());
+                    let mut out = Vec::with_capacity(lost_ref.len());
                     for &e in lost_ref {
-                        let mut fired = 0u64;
-                        if F::ARMED && plan.fires(FaultSite::QueueStall, spare, e) {
-                            // A wedged spare simply fails the attempt.
-                            out.push((e, None, 1));
-                            continue;
-                        }
-                        let corrupt = F::ARMED && plan.fires(FaultSite::CorruptSummary, spare, e);
-                        let inject_panic = F::ARMED && plan.fires(FaultSite::ShardPanic, spare, e);
-                        if corrupt {
-                            fired += 1;
-                        }
-                        if inject_panic {
-                            fired += 1;
-                        }
                         let start = Instant::now();
-                        let res = catch_unwind(AssertUnwindSafe(|| {
-                            if inject_panic {
-                                panic_any(format!(
-                                    "{INJECTED_PANIC_MARKER} scripted spare-shard panic"
-                                ));
-                            }
-                            resummarize::<T>(&retained_ref[e], helper_policy, corrupt)
-                        }));
-                        let nanos = start.elapsed().as_nanos() as u64;
-                        out.push((e, res.ok().map(|s| (s, nanos)), fired));
+                        let (res, fired) =
+                            attempt(&plan, spare, e, &records(e), &retained[e].base, summarize);
+                        out.push((e, res, fired, start.elapsed().as_nanos() as u64));
                     }
                     out
                 })
                 .join()
                 .unwrap_or_default()
             });
-            for (e, res, fired) in attempts {
+            for (e, res, fired, nanos) in attempts {
                 rs.retries += 1;
                 rs.faults_injected += fired;
-                if let Some((sum, nanos)) = res {
-                    if sum.instrs() == retained[e].records {
-                        if R::ENABLED {
-                            obs.observe(Metric::McRecoveryNanos, nanos);
-                        }
-                        eprintln!(
-                            "dift-multicore: recovered epoch {e} on spare shard {spare} ({})",
-                            reason(e)
-                        );
-                        summaries[e] = Some(sum);
-                        rs.spare_recovered += 1;
+                let Attempt::Done(sum) = res else { continue };
+                if sum.instrs() == retained[e].records {
+                    if R::ENABLED {
+                        obs.observe(Metric::McRecoveryNanos, nanos);
                     }
+                    eprintln!(
+                        "dift-multicore: recovered epoch {e} on spare shard {spare} ({})",
+                        reason(e)
+                    );
+                    summaries[e] = Some(sum);
+                    rs.spare_recovered += 1;
                 }
             }
             lost.retain(|&e| summaries[e].is_none());
@@ -804,7 +761,7 @@ where
         // fail — so the run always completes.
         for &e in &lost {
             let start = Instant::now();
-            let sum = resummarize::<T>(&retained[e], helper_policy, false);
+            summaries[e] = Some(summarize(&records(e), &retained[e].base, e));
             if R::ENABLED {
                 obs.observe(Metric::McRecoveryNanos, start.elapsed().as_nanos() as u64);
             }
@@ -812,7 +769,6 @@ where
                 "dift-multicore: recovered epoch {e} inline on the main thread ({})",
                 reason(e)
             );
-            summaries[e] = Some(sum);
             rs.degraded_epochs += 1;
         }
         rs.epochs_recovered = rs.epochs_lost;
@@ -885,13 +841,13 @@ pub fn epoch_process_stream<T: TaintLabel + Send + Sync>(
     epoch_process_stream_tolerant(stream, policy, mem_words, epoch_len, workers, NoopFaults).0
 }
 
-/// [`epoch_process_stream`] with a [`FaultPlan`] adversary. Worker
-/// panics are caught per epoch, a wedged worker stops claiming epochs
-/// (the rest pick up its share), and any epoch whose summary is missing
-/// or fails the record-count check is re-summarized inline during
-/// composition — so the result is always bit-identical to serial
-/// processing. Recovery here is inline-only (`retries` stays 0): the
-/// claiming loop *is* the spare-shard pool.
+/// [`epoch_process_stream`] with a [`FaultPlan`] adversary: the taint
+/// instance of the crate's epoch-stream core. Worker panics are
+/// caught per epoch, a wedged worker stops claiming epochs (the rest pick
+/// up its share), and any epoch whose summary is missing or fails the
+/// record-count check is re-summarized inline before composition — so
+/// the result is always bit-identical to serial processing. Recovery
+/// here is inline-only (`retries` stays 0).
 pub fn epoch_process_stream_tolerant<T: TaintLabel + Send + Sync, F: FaultPlan>(
     stream: &[StepEffects],
     policy: TaintPolicy,
@@ -900,87 +856,20 @@ pub fn epoch_process_stream_tolerant<T: TaintLabel + Send + Sync, F: FaultPlan>(
     workers: usize,
     faults: F,
 ) -> (TaintEngine<T>, RecoveryStats) {
-    assert!(epoch_len >= 1, "epochs must be non-empty");
-    assert!(workers >= 1, "at least one worker");
-    let chunks: Vec<&[StepEffects]> = stream.chunks(epoch_len).collect();
-    // Sequential pre-scan: per-channel I/O counts at each epoch start
-    // (label-independent, so it does not limit scaling).
-    let mut bases = Vec::with_capacity(chunks.len());
-    let mut base = IoBase::default();
-    for c in &chunks {
-        bases.push(base.clone());
-        base.advance(c);
-    }
-
-    let summaries: Vec<OnceLock<EpochSummary<T>>> =
-        chunks.iter().map(|_| OnceLock::new()).collect();
-    let next = AtomicUsize::new(0);
-    let fired = AtomicU64::new(0);
-    thread::scope(|s| {
-        let chunks = &chunks;
-        let bases = &bases;
-        let summaries = &summaries;
-        let next = &next;
-        let fired = &fired;
-        for w in 0..workers {
-            let faults = faults.clone();
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= chunks.len() {
-                    break;
-                }
-                if F::ARMED && faults.fires(FaultSite::QueueStall, w, i) {
-                    // A wedged worker stops claiming; the other workers
-                    // (or inline recovery) absorb the rest of the stream.
-                    fired.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                if F::ARMED && faults.fires(FaultSite::DropMessage, w, i) {
-                    // The epoch's records never reach the worker.
-                    fired.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                let res = catch_unwind(AssertUnwindSafe(|| {
-                    if F::ARMED && faults.fires(FaultSite::ShardPanic, w, i) {
-                        fired.fetch_add(1, Ordering::Relaxed);
-                        panic_any(format!("{INJECTED_PANIC_MARKER} scripted worker panic"));
-                    }
-                    if F::ARMED && faults.fires(FaultSite::CorruptSummary, w, i) {
-                        fired.fetch_add(1, Ordering::Relaxed);
-                        summarize_epoch::<T>(&chunks[i][1..], policy, &bases[i])
-                    } else {
-                        summarize_epoch::<T>(chunks[i], policy, &bases[i])
-                    }
-                }));
-                if let Ok(sum) = res {
-                    let _ = summaries[i].set(sum);
-                }
-            });
-        }
-    });
-
-    let mut rs = RecoveryStats {
-        faults_injected: fired.load(Ordering::Relaxed),
-        ..RecoveryStats::default()
-    };
+    let run = run_epochs(
+        stream,
+        epoch_len,
+        workers,
+        faults,
+        |fxs, base, _| summarize_epoch::<T>(fxs, policy, base),
+        EpochSummary::instrs,
+    );
     let mut engine = TaintEngine::<T>::new(policy);
     engine.pre_size(mem_words);
-    for (i, slot) in summaries.into_iter().enumerate() {
-        // An epoch survives only if its summary exists and saw exactly
-        // the epoch's records (the corruption/partial-delivery check).
-        let valid = slot.into_inner().filter(|s| s.instrs() == chunks[i].len() as u64);
-        let sum = match valid {
-            Some(sum) => sum,
-            None => {
-                rs.epochs_lost += 1;
-                rs.degraded_epochs += 1;
-                rs.epochs_recovered += 1;
-                summarize_epoch::<T>(chunks[i], policy, &bases[i])
-            }
-        };
-        engine.apply_summary(&sum);
+    for sum in &run.summaries {
+        engine.apply_summary(sum);
     }
-    (engine, rs)
+    (engine, run.recovery)
 }
 
 #[cfg(test)]
@@ -1305,6 +1194,33 @@ mod tests {
         assert_eq!(rs.degraded_epochs, 1, "{rs:?}");
         assert_eq!(rs.spare_recovered, 0, "{rs:?}");
         assert!(rs.retries >= 1, "{rs:?}");
+        assert_eq!(rs.faults_injected, 2, "{rs:?}");
+    }
+
+    #[test]
+    fn corrupt_summary_with_a_failed_spare_degrades_inline() {
+        silence_injected_panics();
+        let (p, inputs) = taint_workload();
+        let inline =
+            run_inline_dift::<BitTaint>(machine(&p, &inputs), TaintPolicy::propagate_only());
+        // Epoch 1's home shard returns a damaged summary and its spare
+        // (shard index workers + round = 3) panics: the damaged summary
+        // must be re-derived inline, never composed.
+        let plan = ScriptedFaults::new(vec![
+            crate::faultplan::Injection { site: FaultSite::CorruptSummary, shard: 1, epoch: 1 },
+            crate::faultplan::Injection { site: FaultSite::ShardPanic, shard: 3, epoch: 1 },
+        ]);
+        let (run, _) = run_epoch_dift_tolerant::<BitTaint, _, _>(
+            machine(&p, &inputs),
+            small_model(3),
+            TaintPolicy::propagate_only(),
+            NoopRecorder,
+            plan,
+            RecoveryPolicy::quick(),
+        );
+        assert_matches_inline(&run, &inline, "corrupt summary, failed spare");
+        let rs = run.stats.recovery;
+        assert_eq!(rs.degraded_epochs, 1, "{rs:?}");
         assert_eq!(rs.faults_injected, 2, "{rs:?}");
     }
 

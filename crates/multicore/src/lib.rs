@@ -21,6 +21,18 @@
 //! reported ≈48 % main-thread overhead, the software variant is markedly
 //! worse — which is exactly the argument the paper makes for hardware
 //! support.
+//!
+//! Propagation fans out across helper shards by epoch (DESIGN §9, §11,
+//! §17) on two mechanisms. One crate-private **stream core** summarizes
+//! a pre-captured effects stream with worker threads claiming epochs,
+//! checks the fault sites, and validates and re-summarizes at compose
+//! time; its instances are [`epoch_process_stream`] (taint) and
+//! [`shard_lineage_stream`] (roBDD lineage and, optionally, the slice
+//! index), each with a `_tolerant` variant taking a [`FaultPlan`]. The
+//! **channel runner**, [`run_epoch_dift`] / [`run_epoch_dift_tolerant`],
+//! keeps the VM in the loop behind per-shard channels and the
+//! [`MultiQueueSim`] timing model; its spare-shard retries reuse the
+//! core's per-epoch attempt.
 
 pub mod channel;
 pub mod epoch;
@@ -28,11 +40,12 @@ pub mod faultplan;
 pub mod helper;
 pub mod lineage_shard;
 pub mod resilience;
+mod stream;
 
 pub use channel::{ChannelModel, MultiQueueSim, QueueSim};
 pub use epoch::{
-    epoch_process_stream, epoch_process_stream_tolerant, run_epoch_dift, run_epoch_dift_obs,
-    run_epoch_dift_tolerant, EpochModel,
+    epoch_process_stream, epoch_process_stream_tolerant, run_epoch_dift, run_epoch_dift_tolerant,
+    EpochModel,
 };
 pub use faultplan::{
     silence_injected_panics, FaultPlan, FaultSite, Injection, NoopFaults, ScriptedFaults,
@@ -40,7 +53,7 @@ pub use faultplan::{
 };
 pub use helper::{run_helper_dift, run_inline_dift, DiftRun, MulticoreStats};
 pub use lineage_shard::{
-    shard_lineage_stream, shard_lineage_stream_obs, shard_lineage_stream_tolerant,
-    LineageShardConfig, LineageShardRun, LineageShardStats,
+    shard_lineage_stream, shard_lineage_stream_tolerant, LineageShardConfig, LineageShardRun,
+    LineageShardStats,
 };
 pub use resilience::{RecoveryPolicy, RecoveryStats};

@@ -1,9 +1,10 @@
 //! Sharded lineage tracing (and optional slice-index derivation) on the
 //! epoch-parallel pipeline.
 //!
-//! [`epoch_process_stream_tolerant`](crate::epoch::epoch_process_stream_tolerant)
-//! fans *taint* propagation out by epoch; this module does the same for
-//! the two remaining serial analyses (DESIGN §17):
+//! [`epoch_process_stream`](crate::epoch::epoch_process_stream) fans
+//! *taint* propagation out by epoch; this module is the second instance
+//! of the same stream core, for the two remaining serial analyses
+//! (DESIGN §17):
 //!
 //! * **Lineage** — each shard summarizes its epoch into a
 //!   [`LineageEpochSummary`]: set-valued effects over a private roBDD
@@ -17,29 +18,25 @@
 //!   pending dependences, so `dift-slicing`'s `SliceService` can answer
 //!   queries against a sharded run.
 //!
-//! The fault-tolerance contract is inherited unchanged: summaries are
-//! pure functions of their epoch's records (plus label-independent
-//! pre-scans), so any epoch lost to an injected [`FaultSite`] is
-//! re-summarized inline during composition and the result is still
-//! bit-identical to serial processing.
+//! The fault-tolerance contract is the core's: summaries are pure
+//! functions of their epoch's records (plus label-independent
+//! pre-scans), so any epoch lost to an injected
+//! [`FaultSite`](crate::FaultSite) is re-summarized inline before
+//! composition and the result is still bit-identical to serial
+//! processing.
 //!
 //! [`BddManager`]: dift_robdd::BddManager
 
-use crate::faultplan::{FaultPlan, FaultSite, NoopFaults, INJECTED_PANIC_MARKER};
+use crate::faultplan::{FaultPlan, NoopFaults};
 use crate::resilience::RecoveryStats;
+use crate::stream::run_epochs;
 use dift_ddg::epoch::{control_entry_snapshots, summarize_dep_epoch, EpochDeps};
 use dift_ddg::{ControlStack, SliceIndex};
 use dift_isa::Program;
 use dift_lineage::{
     summarize_lineage_epoch, BddBackend, LineageEngine, LineageEpochSummary, SinkLog,
 };
-use dift_obs::{Metric, NoopRecorder, Recorder};
-use dift_taint::IoBase;
 use dift_vm::StepEffects;
-use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
-use std::thread;
 use std::time::Instant;
 
 /// Configuration of the sharded lineage/slicing run.
@@ -116,161 +113,71 @@ pub struct LineageShardRun {
     pub recovery: RecoveryStats,
 }
 
-/// [`shard_lineage_stream_obs`] with no recorder and no faults.
+/// [`shard_lineage_stream_tolerant`] with no faults.
 pub fn shard_lineage_stream(
     stream: &[StepEffects],
     program: &Program,
     mem_words: usize,
     cfg: &LineageShardConfig,
 ) -> LineageShardRun {
-    shard_lineage_stream_obs(stream, program, mem_words, cfg, NoopFaults, NoopRecorder).0
+    shard_lineage_stream_tolerant(stream, program, mem_words, cfg, NoopFaults)
 }
 
 /// Epoch-parallel lineage (and optional slicing) over a pre-captured
-/// effects stream, under a [`FaultPlan`] adversary, with `dift-obs`
-/// probes. Mirrors the taint pipeline's tolerant runner: workers claim
-/// epochs from a shared counter; a wedged worker stops claiming; panics
-/// are caught per epoch; and any epoch whose summary is missing or
-/// fails the instruction-count integrity check is re-summarized inline
-/// during composition — the result is always bit-identical to serial.
-pub fn shard_lineage_stream_obs<F: FaultPlan, R: Recorder + Send>(
+/// effects stream, under a [`FaultPlan`] adversary: the lineage instance
+/// of the crate's epoch-stream core. Any epoch whose summary is
+/// missing or fails the instruction-count check (lineage and, when
+/// slicing, its dependence fragment) is re-summarized inline, so the
+/// result is always bit-identical to serial.
+pub fn shard_lineage_stream_tolerant<F: FaultPlan>(
     stream: &[StepEffects],
     program: &Program,
     mem_words: usize,
     cfg: &LineageShardConfig,
     faults: F,
-    mut obs: R,
-) -> (LineageShardRun, R) {
-    assert!(cfg.epoch_len >= 1, "epochs must be non-empty");
-    assert!(cfg.workers >= 1, "at least one worker");
-    let chunks: Vec<&[StepEffects]> = stream.chunks(cfg.epoch_len).collect();
-
-    // Label-independent sequential pre-scans: per-channel input counts
-    // (numbers the lineage identifiers) and, when slicing, the control
+) -> LineageShardRun {
+    // When slicing, a second label-independent pre-scan: the control
     // stack at each epoch entry (grounds control dependences).
-    let mut bases = Vec::with_capacity(chunks.len());
-    let mut base = IoBase::default();
-    for c in &chunks {
-        bases.push(base.clone());
-        base.advance(c);
-    }
-    let snaps: Option<Vec<ControlStack>> =
-        cfg.slice.then(|| control_entry_snapshots(program, &chunks));
-
-    type Slot = (LineageEpochSummary, Option<EpochDeps>);
-    let summaries: Vec<OnceLock<Slot>> = chunks.iter().map(|_| OnceLock::new()).collect();
-    let worker_nanos: Vec<AtomicU64> = (0..cfg.workers).map(|_| AtomicU64::new(0)).collect();
-    let next = AtomicUsize::new(0);
-    let fired = AtomicU64::new(0);
-    thread::scope(|s| {
-        let chunks = &chunks;
-        let bases = &bases;
-        let snaps = &snaps;
-        let summaries = &summaries;
-        let next = &next;
-        let fired = &fired;
-        for (w, nanos) in worker_nanos.iter().enumerate() {
-            let faults = faults.clone();
-            let cfg = cfg.clone();
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= chunks.len() {
-                    break;
-                }
-                if F::ARMED && faults.fires(FaultSite::QueueStall, w, i) {
-                    fired.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-                if F::ARMED && faults.fires(FaultSite::DropMessage, w, i) {
-                    fired.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                let t0 = Instant::now();
-                let res = catch_unwind(AssertUnwindSafe(|| {
-                    if F::ARMED && faults.fires(FaultSite::ShardPanic, w, i) {
-                        fired.fetch_add(1, Ordering::Relaxed);
-                        panic_any(format!("{INJECTED_PANIC_MARKER} scripted worker panic"));
-                    }
-                    if F::ARMED && faults.fires(FaultSite::CorruptSummary, w, i) {
-                        fired.fetch_add(1, Ordering::Relaxed);
-                        // Summarize the epoch minus its first record; the
-                        // instruction-count check catches it at compose.
-                        let sum = summarize_lineage_epoch(
-                            &chunks[i][1..],
-                            cfg.id_bits,
-                            &bases[i],
-                            cfg.capture_sinks,
-                        );
-                        (sum, None)
-                    } else {
-                        let sum = summarize_lineage_epoch(
-                            chunks[i],
-                            cfg.id_bits,
-                            &bases[i],
-                            cfg.capture_sinks,
-                        );
-                        let deps = snaps.as_ref().map(|snaps| {
-                            summarize_dep_epoch(
-                                chunks[i],
-                                snaps[i].clone(),
-                                chunks[i][0].step,
-                                mem_words,
-                            )
-                        });
-                        (sum, deps)
-                    }
-                }));
-                nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                if let Ok(slot) = res {
-                    let _ = summaries[i].set(slot);
-                }
-            });
-        }
+    let snaps: Option<Vec<ControlStack>> = cfg.slice.then(|| {
+        let chunks: Vec<&[StepEffects]> = stream.chunks(cfg.epoch_len).collect();
+        control_entry_snapshots(program, &chunks)
     });
+    let run = run_epochs(
+        stream,
+        cfg.epoch_len,
+        cfg.workers,
+        faults,
+        |fxs, base, i| {
+            let sum = summarize_lineage_epoch(fxs, cfg.id_bits, base, cfg.capture_sinks);
+            let deps = snaps.as_ref().map(|snaps| {
+                // From the stream, not `fxs`: injected corruption drops
+                // the epoch's first record.
+                let start = stream[i * cfg.epoch_len].step;
+                summarize_dep_epoch(fxs, snaps[i].clone(), start, mem_words)
+            });
+            (sum, deps)
+        },
+        // A fragment that disagrees with its lineage summary fails the
+        // check whatever the lineage count.
+        |(sum, deps): &(LineageEpochSummary, Option<EpochDeps>)| match deps {
+            Some(d) if d.instrs() != sum.instrs() => u64::MAX,
+            _ => sum.instrs(),
+        },
+    );
 
-    let mut recovery = RecoveryStats {
-        faults_injected: fired.load(Ordering::Relaxed),
-        ..RecoveryStats::default()
-    };
     let mut stats = LineageShardStats {
-        epochs: chunks.len() as u64,
+        epochs: run.summaries.len() as u64,
         workers: cfg.workers,
-        shard_nanos_total: worker_nanos.iter().map(|n| n.load(Ordering::Relaxed)).sum(),
-        max_worker_nanos: worker_nanos.iter().map(|n| n.load(Ordering::Relaxed)).max().unwrap_or(0),
+        shard_nanos_total: run.worker_nanos.iter().sum(),
+        max_worker_nanos: run.worker_nanos.iter().copied().max().unwrap_or(0),
         ..LineageShardStats::default()
     };
-    if R::ENABLED {
-        for n in &worker_nanos {
-            obs.observe(Metric::LsShardEpochNanos, n.load(Ordering::Relaxed));
-        }
-        obs.add(Metric::LsEpochs, stats.epochs);
-    }
-
-    // Composition: epoch order, inline recovery for invalid slots.
+    // Composition, in epoch order.
     let mut engine = LineageEngine::new(BddBackend::new(cfg.id_bits));
     let mut sinks = cfg.capture_sinks.then(SinkLog::default);
     let mut composer = cfg.slice.then(dift_ddg::EpochDepComposer::new);
     let t0 = Instant::now();
-    for (i, slot) in summaries.into_iter().enumerate() {
-        let want = chunks[i].len() as u64;
-        let valid = slot.into_inner().filter(|(sum, deps)| {
-            sum.instrs() == want
-                && (!cfg.slice || deps.as_ref().is_some_and(|d| d.instrs() == want))
-        });
-        let (sum, deps) = match valid {
-            Some(slot) => slot,
-            None => {
-                recovery.epochs_lost += 1;
-                recovery.degraded_epochs += 1;
-                recovery.epochs_recovered += 1;
-                let sum =
-                    summarize_lineage_epoch(chunks[i], cfg.id_bits, &bases[i], cfg.capture_sinks);
-                let deps = snaps.as_ref().map(|snaps| {
-                    summarize_dep_epoch(chunks[i], snaps[i].clone(), chunks[i][0].step, mem_words)
-                });
-                (sum, deps)
-            }
-        };
+    for (sum, deps) in run.summaries {
         stats.arena_nodes += sum.arena_nodes() as u64;
         sum.apply(&mut engine, sinks.as_mut());
         if let (Some(c), Some(d)) = (composer.as_mut(), deps) {
@@ -285,25 +192,6 @@ pub fn shard_lineage_stream_obs<F: FaultPlan, R: Recorder + Send>(
         stats.cross_epoch_deps = cs.cross_epoch_records;
         stats.unresolved_pendings = cs.unresolved_pendings;
     }
-    if R::ENABLED {
-        obs.add(Metric::LsComposeNanos, stats.compose_nanos);
-        obs.add(Metric::LsArenaNodes, stats.arena_nodes);
-        obs.add(Metric::LsCrossEpochDeps, stats.cross_epoch_deps);
-        obs.add(Metric::LsEpochsRecovered, recovery.epochs_recovered);
-    }
-
     let index = composer.map(|c| c.into_index());
-    (LineageShardRun { engine, sinks, index, stats, recovery }, obs)
-}
-
-/// [`shard_lineage_stream_obs`] without probes — the fault-injection
-/// test entry point.
-pub fn shard_lineage_stream_tolerant<F: FaultPlan>(
-    stream: &[StepEffects],
-    program: &Program,
-    mem_words: usize,
-    cfg: &LineageShardConfig,
-    faults: F,
-) -> LineageShardRun {
-    shard_lineage_stream_obs(stream, program, mem_words, cfg, faults, NoopRecorder).0
+    LineageShardRun { engine, sinks, index, stats, recovery: run.recovery }
 }

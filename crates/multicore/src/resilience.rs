@@ -6,7 +6,8 @@
 //! is recoverable by recomputing the epoch elsewhere, with results
 //! bit-identical to the serial engine. This module holds the knobs
 //! ([`RecoveryPolicy`]) and the ledger ([`RecoveryStats`]) of that
-//! machinery; the mechanism itself lives in [`crate::epoch`].
+//! machinery; the mechanism itself lives in [`crate::epoch`] (the
+//! channel runner) and the crate's stream core.
 //!
 //! The recovery ladder, in order:
 //!

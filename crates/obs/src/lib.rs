@@ -37,8 +37,9 @@ pub use hist::{Histogram, HIST_BUCKETS};
 pub use recorder::{NoopRecorder, Recorder, StatsRecorder};
 
 /// Version stamp of the `BENCH_obs.json` schema. Bump when a metric is
-/// renamed or its meaning changes; additions are backward-compatible.
-pub const SCHEMA_VERSION: u32 = 1;
+/// renamed or removed or its meaning changes; additions are
+/// backward-compatible.
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// What a metric's storage and serialization look like.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -167,13 +168,6 @@ metrics! {
     TaintScRegions          => ("taint/summary_cache/regions", Counter),
     TaintScInstrsSummarized => ("taint/summary_cache/instrs_summarized", Counter),
     TaintScBytesSaved       => ("taint/summary_cache/bytes_saved", Counter),
-    // multicore::lineage_shard — sharded lineage + slice-index fan-out.
-    LsEpochs            => ("multicore/lineage_shard/epochs", Counter),
-    LsEpochsRecovered   => ("multicore/lineage_shard/epochs_recovered", Counter),
-    LsArenaNodes        => ("multicore/lineage_shard/arena_nodes", Counter),
-    LsCrossEpochDeps    => ("multicore/lineage_shard/cross_epoch_deps", Counter),
-    LsComposeNanos      => ("multicore/lineage_shard/compose_nanos", Counter),
-    LsShardEpochNanos   => ("multicore/lineage_shard/shard_epoch_nanos", Histogram),
     // sentinel::eval — taint-boundary policy evaluation at sink sites.
     SentinelSinkEvents      => ("sentinel/eval/sink_events", Counter),
     SentinelAlerts          => ("sentinel/eval/alerts", Counter),

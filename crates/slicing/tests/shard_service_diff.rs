@@ -13,7 +13,10 @@
 use dift_dbi::{Engine, Tool};
 use dift_ddg::{OnTrac, OnTracConfig, SliceIndex};
 use dift_isa::{BinOp, BranchCond, Program, ProgramBuilder, Reg};
-use dift_multicore::{shard_lineage_stream, LineageShardConfig};
+use dift_multicore::{
+    shard_lineage_stream, shard_lineage_stream_tolerant, silence_injected_panics, FaultSite,
+    Injection, LineageShardConfig, ScriptedFaults,
+};
 use dift_slicing::{KindMask, SliceService};
 use dift_vm::{Machine, MachineConfig, StepEffects};
 use proptest::prelude::*;
@@ -187,4 +190,43 @@ fn single_step_epochs_still_match() {
     let run = shard_lineage_stream(&fxs, &p, mem_words, &cfg);
     assert_service_agrees(run.index.as_ref().unwrap(), serial, &p, "epoch_len=1");
     assert!(run.stats.cross_epoch_deps > 0, "everything must cross: {:?}", run.stats);
+}
+
+/// The deterministic fault grid with slicing and sink capture on: every
+/// site × the first two epochs, so the dependence-fragment integrity
+/// check and its inline re-derivation run, not only the lineage half.
+#[test]
+fn sliced_fault_grid_recovers_every_site() {
+    silence_injected_panics();
+    let steps = vec![
+        Step::Alu { op: 0, rd: 2, rs1: 1, rs2: 2 },
+        Step::Store { rs: 2, slot: 3 },
+        Step::Load { rd: 4, slot: 3 },
+        Step::Alu { op: 2, rd: 5, rs1: 4, rs2: 2 },
+        Step::Store { rs: 5, slot: 1 },
+    ];
+    let p = build(6, &steps);
+    let (tracer, fxs) = serial_index(&p);
+    let serial = tracer.slice_index().expect("index on");
+    let mem_words = MachineConfig::small().mem_words;
+    let mut cfg = LineageShardConfig::new(3, 8, 16);
+    cfg.slice = true;
+    cfg.capture_sinks = true;
+    let clean = shard_lineage_stream(&fxs, &p, mem_words, &cfg);
+    let clean_sinks = format!("{:?}", clean.sinks.as_ref().expect("sinks captured"));
+    for site in FaultSite::ALL {
+        for epoch in 0..2usize {
+            // Epochs are claimed dynamically, so arm every worker.
+            let plan = ScriptedFaults::new(
+                (0..cfg.workers).map(|shard| Injection { site, shard, epoch }).collect(),
+            );
+            let run = shard_lineage_stream_tolerant(&fxs, &p, mem_words, &cfg, plan);
+            let what = format!("{site:?} at epoch {epoch}");
+            assert_service_agrees(run.index.as_ref().expect("slice enabled"), serial, &p, &what);
+            let sinks = format!("{:?}", run.sinks.as_ref().expect("sinks captured"));
+            assert_eq!(sinks, clean_sinks, "{what}: sink log");
+            assert!(run.recovery.faults_injected >= 1, "{what}: fault must fire");
+            assert!(run.recovery.epochs_recovered >= 1, "{what}: must recover");
+        }
+    }
 }
