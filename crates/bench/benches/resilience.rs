@@ -7,16 +7,15 @@
 //!   folds every injection site away; the residual is the per-epoch
 //!   `catch_unwind` and the integrity recount, expected within noise).
 //! * `modeled-fail-stop` vs `modeled-tolerant-noop` — the full modeled
-//!   runner with recovery disabled vs enabled-but-idle (epoch
-//!   retention, timeout sends, the per-epoch result channel). This is
-//!   the acceptance bound from the issue: NoopFaults + recovery must
-//!   stay within noise of the fail-stop baseline.
+//!   runner through its plain entry point vs the tolerant one with
+//!   [`NoopFaults`]. Both run the same stream core, so they must stay
+//!   within noise of each other.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dift_dbi::{Engine, Tool};
 use dift_multicore::{
     epoch_process_stream, epoch_process_stream_tolerant, run_epoch_dift, run_epoch_dift_tolerant,
-    ChannelModel, EpochModel, NoopFaults, RecoveryPolicy,
+    ChannelModel, EpochModel, NoopFaults,
 };
 use dift_obs::NoopRecorder;
 use dift_taint::{PcTaint, TaintPolicy};
@@ -88,7 +87,6 @@ fn bench_resilience(c: &mut Criterion) {
                 policy,
                 NoopRecorder,
                 NoopFaults,
-                RecoveryPolicy::tolerant(),
             );
             black_box(run.stats.completion_cycles)
         })

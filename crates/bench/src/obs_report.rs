@@ -21,9 +21,7 @@
 use crate::{Scale, Table};
 use dift_dbi::{Engine, ProfileTool};
 use dift_ddg::{costs, OnTrac, OnTracConfig};
-use dift_multicore::{
-    run_epoch_dift_tolerant, ChannelModel, EpochModel, NoopFaults, RecoveryPolicy,
-};
+use dift_multicore::{run_epoch_dift_tolerant, ChannelModel, EpochModel, NoopFaults};
 use dift_obs::snapshot::section_value;
 use dift_obs::{Metric, Recorder, StatsRecorder, SCHEMA_VERSION};
 use dift_slicing::{KindMask, SliceQuery, SliceService};
@@ -182,7 +180,6 @@ pub fn obs_report(scale: Scale) -> ObsReport {
             policy,
             StatsRecorder::new(),
             NoopFaults,
-            RecoveryPolicy::fail_stop(),
         );
         merged.merge(&obs);
     }

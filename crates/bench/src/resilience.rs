@@ -3,37 +3,34 @@
 //! Three families of numbers behind `report resilience`
 //! (`BENCH_resilience.json`):
 //!
-//! * **zero-fault overhead** — the tolerance machinery (epoch retention,
-//!   timeout sends, result channels, validation) measured with
-//!   [`NoopFaults`] and recovery enabled, against the plain fail-stop
-//!   runner. The *modeled* ratio is deterministic and must be exactly
-//!   1.0 (the timing model charges recovery work only for epochs that
-//!   were actually lost); the wall-clock ratio on the stream path is
-//!   recorded for context but not gated (host-dependent).
+//! * **zero-fault overhead** — the tolerant runner with [`NoopFaults`]
+//!   against the plain runner. The *modeled* ratio is deterministic and
+//!   must be exactly 1.0 (the timing model charges recovery work only
+//!   for epochs that were actually lost); the wall-clock ratio on the
+//!   stream path is recorded for context but not gated
+//!   (host-dependent).
 //! * **fault matrix** — every [`FaultSite`] × the first two shards, one
-//!   scripted single fault per run at a coordinate the shard is
-//!   guaranteed to own. Each run must complete and stay bit-identical
+//!   scripted single fault per run at the home coordinate of the
+//!   shard's first epoch. Each run must complete and stay bit-identical
 //!   to the serial inline engine; the report records the recovery
 //!   ledger per cell. `completed_fraction` and `identical_fraction`
 //!   are gated at 1.0.
-//! * **recovery accounting** — total epochs recovered, retries, spare
-//!   vs degraded split, summed over the matrix.
+//! * **recovery accounting** — total epochs recovered, summed over the
+//!   matrix.
 
 use crate::throughput::{time_stream, Capture};
 use crate::{pct, Scale, Table};
 use dift_dbi::Engine;
 use dift_multicore::{
     epoch_process_stream, epoch_process_stream_tolerant, run_epoch_dift, run_epoch_dift_tolerant,
-    silence_injected_panics, ChannelModel, EpochModel, FaultSite, NoopFaults, RecoveryPolicy,
-    ScriptedFaults,
+    silence_injected_panics, ChannelModel, EpochModel, FaultSite, NoopFaults, ScriptedFaults,
 };
 use dift_obs::NoopRecorder;
 use dift_taint::{PcTaint, TaintEngine, TaintPolicy};
 use dift_workloads::{science, Workload};
 use serde::Serialize;
 
-/// Shards the fault-tolerant runs fan out across (3 keeps every matrix
-/// coordinate distinct from its spare indices 3 and 4).
+/// Shards the fault-tolerant runs fan out across.
 const WORKERS: usize = 3;
 
 /// One cell of the fault matrix: a single scripted fault at an exact
@@ -53,8 +50,6 @@ pub struct FaultMatrixRow {
     pub faults_injected: u64,
     pub epochs_lost: u64,
     pub epochs_recovered: u64,
-    pub retries: u64,
-    pub spare_recovered: u64,
     pub degraded_epochs: u64,
     pub shards_lost: u64,
     /// Modeled completion including the recovery recompute charge.
@@ -72,7 +67,7 @@ pub struct ResilienceReport {
     /// Epochs the modeled runs split the stream into.
     pub epochs: u64,
     pub workers: usize,
-    /// Tolerant(NoopFaults) / fail-stop modeled completion cycles —
+    /// Tolerant(NoopFaults) / plain modeled completion cycles —
     /// deterministic, must be 1.0 (gated).
     pub zero_fault_modeled_overhead: f64,
     /// Tolerant(NoopFaults) / plain wall-clock stream throughput ratio
@@ -134,18 +129,17 @@ pub fn resilience_report(scale: Scale) -> ResilienceReport {
     }
 
     // Zero-fault A/B, modeled: identical machine, identical model; the
-    // only difference is the tolerance machinery. Deterministic.
-    let fail_stop = run_epoch_dift::<PcTaint>(w.machine(), model(epoch_len), policy);
+    // only difference is the entry point. Deterministic.
+    let plain = run_epoch_dift::<PcTaint>(w.machine(), model(epoch_len), policy);
     let (tolerant, _) = run_epoch_dift_tolerant::<PcTaint, _, _>(
         w.machine(),
         model(epoch_len),
         policy,
         NoopRecorder,
         NoopFaults,
-        RecoveryPolicy::tolerant(),
     );
     let zero_fault_modeled_overhead =
-        tolerant.stats.completion_cycles as f64 / fail_stop.stats.completion_cycles.max(1) as f64;
+        tolerant.stats.completion_cycles as f64 / plain.stats.completion_cycles.max(1) as f64;
 
     // Zero-fault A/B, wall clock on the stream path (informational).
     let base_ips = time_stream(&stream, target, |s| {
@@ -161,7 +155,7 @@ pub fn resilience_report(scale: Scale) -> ResilienceReport {
     let zero_fault_wall_overhead = base_ips / tol_ips.max(1e-9);
 
     // Fault matrix: every site × the first two shards, injected at the
-    // epoch the shard owns (epoch e steers to shard e % workers).
+    // epoch the shard is home to (epoch e's home is shard e % workers).
     let mut matrix = Vec::new();
     for site in FaultSite::ALL {
         for shard in 0..2usize {
@@ -172,7 +166,6 @@ pub fn resilience_report(scale: Scale) -> ResilienceReport {
                 policy,
                 NoopRecorder,
                 plan,
-                RecoveryPolicy::quick(),
             );
             let rs = run.stats.recovery;
             let bit_identical = run.engine.output_labels == serial.output_labels
@@ -189,8 +182,6 @@ pub fn resilience_report(scale: Scale) -> ResilienceReport {
                 faults_injected: rs.faults_injected,
                 epochs_lost: rs.epochs_lost,
                 epochs_recovered: rs.epochs_recovered,
-                retries: rs.retries,
-                spare_recovered: rs.spare_recovered,
                 degraded_epochs: rs.degraded_epochs,
                 shards_lost: rs.shards_lost,
                 completion_cycles: run.stats.completion_cycles,
@@ -201,10 +192,10 @@ pub fn resilience_report(scale: Scale) -> ResilienceReport {
     let n = matrix.len().max(1) as f64;
     ResilienceReport {
         scale: format!("{scale:?}").to_lowercase(),
-        label: "PcTaint, checks on; single scripted fault per run, RecoveryPolicy::quick".into(),
+        label: "PcTaint, checks on; single scripted fault per run".into(),
         workload: w.name.clone(),
         instrs: stream.len() as u64,
-        epochs: fail_stop.stats.epochs,
+        epochs: plain.stats.epochs,
         workers: WORKERS,
         zero_fault_modeled_overhead,
         zero_fault_wall_overhead,
@@ -221,8 +212,8 @@ pub fn resilience_to_table(r: &ResilienceReport) -> Table {
         "T3",
         "fault-tolerant epoch pipeline: zero-fault overhead and single-fault recovery",
         "epoch summaries are recomputable, so every injected fault is absorbed by \
-         retry-on-spare or inline degradation with bit-identical results",
-        &["fault", "shard", "identical", "lost", "spare", "degraded", "retries", "cycles"],
+         inline re-summarization with bit-identical results",
+        &["fault", "shard", "identical", "lost", "degraded", "cycles"],
     );
     for row in &r.matrix {
         t.row(vec![
@@ -230,9 +221,7 @@ pub fn resilience_to_table(r: &ResilienceReport) -> Table {
             format!("s{}", row.shard),
             if row.bit_identical { "yes" } else { "NO" }.into(),
             row.epochs_lost.to_string(),
-            row.spare_recovered.to_string(),
             row.degraded_epochs.to_string(),
-            row.retries.to_string(),
             row.completion_cycles.to_string(),
         ]);
     }
@@ -240,8 +229,6 @@ pub fn resilience_to_table(r: &ResilienceReport) -> Table {
         format!("zero-fault overhead (modeled {:.3}x)", r.zero_fault_modeled_overhead),
         "-".into(),
         pct(r.identical_fraction),
-        "-".into(),
-        "-".into(),
         "-".into(),
         "-".into(),
         format!("wall {:.2}x", r.zero_fault_wall_overhead),

@@ -1,13 +1,15 @@
 //! Deterministic, seedable fault injection for the epoch pipeline.
 //!
-//! The epoch-parallel runner ([`crate::epoch`]) distributes self-contained
-//! taint-transfer summaries across helper shards; because a summary is a
-//! pure function of its epoch's records and I/O base, any lost or damaged
-//! epoch can be recomputed anywhere with bit-identical results. This
+//! Every epoch runner ([`crate::epoch`], [`crate::lineage_shard`])
+//! summarizes self-contained epochs on worker threads; because a summary
+//! is a pure function of its epoch's records and I/O base, any lost or
+//! damaged epoch can be recomputed with bit-identical results. This
 //! module provides the *adversary* for exercising that property: a
 //! [`FaultPlan`] names exact `(site, shard, epoch)` coordinates at which
-//! the pipeline misbehaves, so recovery tests are reproducible down to
-//! the individual message.
+//! the pipeline misbehaves. The runners check a plan at each epoch's
+//! round-robin home coordinate `(epoch % workers, epoch)`, whichever
+//! thread claims the epoch, so a plan hits the same epochs on every run
+//! and in every runner.
 //!
 //! The design mirrors the `dift-obs` [`dift_obs::Recorder`] pattern:
 //! instrumented functions are generic over `F: FaultPlan` with
@@ -25,17 +27,16 @@ pub const INJECTED_PANIC_MARKER: &str = "injected fault:";
 /// A place in the pipeline where a fault can be injected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultSite {
-    /// The shard thread panics while summarizing the epoch (caught by
-    /// the per-epoch `catch_unwind` in the shard loop).
+    /// The worker panics while summarizing the epoch (caught by the
+    /// per-epoch `catch_unwind`).
     ShardPanic,
-    /// The producer drops the epoch's channel traffic on the floor: the
-    /// shard never sees the epoch at all.
+    /// The epoch's records never arrive: the worker never summarizes it.
     DropMessage,
-    /// The shard wedges at the start of the epoch and stops draining its
-    /// queue — the stuck-bounded-queue scenario. Only progress-watermark
-    /// stall detection can notice this one.
+    /// The worker wedges at the start of the epoch and stops claiming
+    /// epochs — the stuck-consumer scenario. The other workers absorb
+    /// its share; the epoch itself is lost.
     QueueStall,
-    /// The shard silently corrupts the epoch's summary (modeled as
+    /// The worker silently corrupts the epoch's summary (modeled as
     /// summarizing the epoch minus its first record, the kind of damage
     /// the record-count integrity check catches).
     CorruptSummary,
@@ -64,8 +65,7 @@ impl FaultSite {
 
 /// A deterministic oracle deciding whether a fault fires at a pipeline
 /// coordinate. `fires` must be pure: the same `(site, shard, epoch)`
-/// always returns the same answer, so a retry on a *different* shard
-/// index sees fresh coordinates while a retry on the same ones re-fails.
+/// always returns the same answer.
 pub trait FaultPlan: Clone + Send + 'static {
     /// `false` plans promise `fires` never returns `true`; injection
     /// sites guard on this so the no-fault build compiles the sites

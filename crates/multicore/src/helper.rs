@@ -28,9 +28,10 @@ pub struct MulticoreStats {
     /// Messages shipped main→helper (modeled per-instruction cost; the
     /// timing model is unchanged by batching).
     pub messages: u64,
-    /// Physical channel sends: messages travel in fixed-size batches, so
-    /// this is ≤ `messages`. Purely an implementation statistic — no
-    /// modeled cycles attach to it.
+    /// Physical channel sends of the single-helper offload: messages
+    /// travel in fixed-size batches, so this is ≤ `messages` (0 for the
+    /// epoch runner, which has no real channel). Purely an
+    /// implementation statistic — no modeled cycles attach to it.
     pub batches: u64,
     /// End-to-end completion: main finish vs helper drain, whichever is
     /// later.

@@ -23,16 +23,16 @@
 //! support.
 //!
 //! Propagation fans out across helper shards by epoch (DESIGN §9, §11,
-//! §17) on two mechanisms. One crate-private **stream core** summarizes
-//! a pre-captured effects stream with worker threads claiming epochs,
-//! checks the fault sites, and validates and re-summarizes at compose
-//! time; its instances are [`epoch_process_stream`] (taint) and
+//! §17) on one crate-private **stream core**: worker threads claim
+//! epochs of a captured effects stream, the core checks the fault sites
+//! at each epoch's home coordinate `(epoch % workers, epoch)`, and
+//! validates and re-summarizes inline before the caller composes. Its
+//! three instances each have a `_tolerant` variant taking a
+//! [`FaultPlan`]: [`epoch_process_stream`] (taint),
 //! [`shard_lineage_stream`] (roBDD lineage and, optionally, the slice
-//! index), each with a `_tolerant` variant taking a [`FaultPlan`]. The
-//! **channel runner**, [`run_epoch_dift`] / [`run_epoch_dift_tolerant`],
-//! keeps the VM in the loop behind per-shard channels and the
-//! [`MultiQueueSim`] timing model; its spare-shard retries reuse the
-//! core's per-epoch attempt.
+//! index), and the **channel runner** [`run_epoch_dift`], which runs the
+//! VM under a producer tool that captures the stream and charges the
+//! [`MultiQueueSim`] timing model.
 
 pub mod channel;
 pub mod epoch;
@@ -56,4 +56,4 @@ pub use lineage_shard::{
     shard_lineage_stream, shard_lineage_stream_tolerant, LineageShardConfig, LineageShardRun,
     LineageShardStats,
 };
-pub use resilience::{RecoveryPolicy, RecoveryStats};
+pub use resilience::RecoveryStats;

@@ -9,9 +9,7 @@
 //! re-summarize whatever failed inline — which cannot fail, so the
 //! result is always bit-identical to serial processing. [`run_epochs`]
 //! owns all of that and hands back valid summaries in epoch order; the
-//! taint and lineage runners only compose them. [`attempt`] is the one
-//! fault-checked per-epoch step, shared with the channel runner's spare
-//! retries.
+//! taint stream, lineage and channel runners only compose them.
 
 use crate::faultplan::{FaultPlan, FaultSite, INJECTED_PANIC_MARKER};
 use crate::resilience::RecoveryStats;
@@ -23,7 +21,7 @@ use std::thread;
 use std::time::Instant;
 
 /// Outcome of one per-epoch [`attempt`].
-pub(crate) enum Attempt<S> {
+enum Attempt<S> {
     /// Injected `QueueStall`: the worker wedged before starting.
     Stalled,
     /// Injected `DropMessage` (the records never arrived), or the
@@ -34,19 +32,19 @@ pub(crate) enum Attempt<S> {
 }
 
 /// Summarize `records` (epoch `epoch`, based at `base`) at fault-plan
-/// coordinate `(worker, epoch)`. Checks the four [`FaultSite`]s in
-/// order — stall, drop, panic, corrupt (a panic preempts corruption) —
-/// and catches panics, so an attempt never unwinds. Returns the outcome
-/// and how many injected faults fired.
-pub(crate) fn attempt<S, F: FaultPlan>(
+/// coordinate `(home, epoch)`. Checks the four [`FaultSite`]s in order —
+/// stall, drop, panic, corrupt (a panic preempts corruption) — and
+/// catches panics, so an attempt never unwinds. Returns the outcome and
+/// how many injected faults fired.
+fn attempt<S, F: FaultPlan>(
     faults: &F,
-    worker: usize,
+    home: usize,
     epoch: usize,
     records: &[StepEffects],
     base: &IoBase,
     summarize: &impl Fn(&[StepEffects], &IoBase, usize) -> S,
 ) -> (Attempt<S>, u64) {
-    let fires = |site| F::ARMED && faults.fires(site, worker, epoch);
+    let fires = |site| F::ARMED && faults.fires(site, home, epoch);
     if fires(FaultSite::QueueStall) {
         return (Attempt::Stalled, 1);
     }
@@ -71,6 +69,8 @@ pub(crate) fn attempt<S, F: FaultPlan>(
 pub(crate) struct EpochRun<S> {
     /// One valid summary per epoch, in epoch order.
     pub summaries: Vec<S>,
+    /// Epochs re-summarized inline, in epoch order.
+    pub lost: Vec<usize>,
     pub recovery: RecoveryStats,
     /// Per-worker summarize time, failed attempts included.
     pub worker_nanos: Vec<u64>,
@@ -79,10 +79,13 @@ pub(crate) struct EpochRun<S> {
 /// Epoch-parallel summarization of a pre-captured stream: `workers`
 /// scoped threads claim `epoch_len`-record epochs from a shared counter
 /// and run them through [`attempt`]; a stalled worker stops claiming and
-/// the others absorb its share. Every summary must then report exactly
-/// its epoch's record count through `instrs`; any epoch that is missing
-/// or fails the check is re-summarized inline, so recovery is inline-only
-/// (`retries` stays 0: the claiming loop *is* the spare pool).
+/// the others absorb its share. Faults are checked at the epoch's
+/// round-robin home coordinate `(epoch % workers, epoch)`, whichever
+/// thread claims it, so a plan hits the same epochs on every run. Every
+/// summary must then report exactly its epoch's record count through
+/// `instrs`; any epoch that is missing or fails the check is
+/// re-summarized inline. That call is not under `catch_unwind`: a real
+/// summarizer bug aborts the run with its own message.
 pub(crate) fn run_epochs<S: Send, F: FaultPlan>(
     stream: &[StepEffects],
     epoch_len: usize,
@@ -107,27 +110,33 @@ pub(crate) fn run_epochs<S: Send, F: FaultPlan>(
     let (chunks_ref, bases_ref, summarize_ref) = (&chunks, &bases, &summarize);
     let per_worker: Vec<_> = thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
-            .map(|w| {
+            .map(|_| {
                 let (faults, next) = (faults.clone(), &next);
                 s.spawn(move || {
                     let (mut nanos, mut fired, mut done) = (0u64, 0u64, Vec::new());
-                    loop {
+                    let stalled = loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= chunks_ref.len() {
-                            break;
+                            break false;
                         }
                         let t0 = Instant::now();
-                        let (res, n) =
-                            attempt(&faults, w, i, chunks_ref[i], &bases_ref[i], summarize_ref);
+                        let (res, n) = attempt(
+                            &faults,
+                            i % workers,
+                            i,
+                            chunks_ref[i],
+                            &bases_ref[i],
+                            summarize_ref,
+                        );
                         nanos += t0.elapsed().as_nanos() as u64;
                         fired += n;
                         match res {
-                            Attempt::Stalled => break,
+                            Attempt::Stalled => break true,
                             Attempt::Lost => {}
                             Attempt::Done(sum) => done.push((i, sum)),
                         }
-                    }
-                    (nanos, fired, done)
+                    };
+                    (nanos, fired, stalled, done)
                 })
             })
             .collect();
@@ -140,13 +149,15 @@ pub(crate) fn run_epochs<S: Send, F: FaultPlan>(
     let mut slots: Vec<Option<S>> = chunks.iter().map(|_| None).collect();
     let mut worker_nanos = Vec::with_capacity(workers);
     let mut recovery = RecoveryStats::default();
-    for (nanos, fired, done) in per_worker {
+    for (nanos, fired, stalled, done) in per_worker {
         worker_nanos.push(nanos);
         recovery.faults_injected += fired;
+        recovery.shards_lost += u64::from(stalled);
         for (i, sum) in done {
             slots[i] = Some(sum);
         }
     }
+    let mut lost = Vec::new();
     let summaries = slots
         .into_iter()
         .enumerate()
@@ -156,13 +167,15 @@ pub(crate) fn run_epochs<S: Send, F: FaultPlan>(
             match slot.filter(|s| instrs(s) == chunks[i].len() as u64) {
                 Some(sum) => sum,
                 None => {
-                    recovery.epochs_lost += 1;
-                    recovery.degraded_epochs += 1;
-                    recovery.epochs_recovered += 1;
+                    lost.push(i);
                     summarize(chunks[i], &bases[i], i)
                 }
             }
         })
         .collect();
-    EpochRun { summaries, recovery, worker_nanos }
+    let n = lost.len() as u64;
+    recovery.epochs_lost = n;
+    recovery.degraded_epochs = n;
+    recovery.epochs_recovered = n;
+    EpochRun { summaries, lost, recovery, worker_nanos }
 }

@@ -17,7 +17,7 @@ use dift_dbi::{Engine, Tool};
 use dift_isa::{BinOp, Program, ProgramBuilder, Reg};
 use dift_multicore::{
     epoch_process_stream_tolerant, run_epoch_dift_tolerant, silence_injected_panics, ChannelModel,
-    EpochModel, FaultSite, NoopFaults, RecoveryPolicy, ScriptedFaults,
+    EpochModel, FaultSite, NoopFaults, ScriptedFaults,
 };
 use dift_obs::NoopRecorder;
 use dift_taint::{PcTaint, ReferenceTaintEngine, TaintLabel, TaintPolicy};
@@ -195,7 +195,6 @@ proptest! {
             policy,
             NoopRecorder,
             plan.clone(),
-            RecoveryPolicy::quick(),
         );
         assert_agrees(&run.engine, &oracle, "threaded tolerant runner");
         let rs = run.stats.recovery;
@@ -248,7 +247,6 @@ fn deterministic_fault_grid_recovers_every_site() {
                 policy,
                 NoopRecorder,
                 plan,
-                RecoveryPolicy::quick(),
             );
             let what = format!("{site:?} at shard {shard}");
             assert_agrees(&run.engine, &oracle, &what);
@@ -277,7 +275,6 @@ fn fault_free_tolerant_run_is_uneventful() {
         policy,
         NoopRecorder,
         NoopFaults,
-        RecoveryPolicy::tolerant(),
     );
     assert_agrees(&run.engine, &oracle, "fault-free tolerant");
     assert!(!run.stats.recovery.eventful(), "{:?}", run.stats.recovery);

@@ -39,7 +39,7 @@ pub use recorder::{NoopRecorder, Recorder, StatsRecorder};
 /// Version stamp of the `BENCH_obs.json` schema. Bump when a metric is
 /// renamed or removed or its meaning changes; additions are
 /// backward-compatible.
-pub const SCHEMA_VERSION: u32 = 2;
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// What a metric's storage and serialization look like.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -143,7 +143,6 @@ metrics! {
     McMessages          => ("multicore/channel/messages", Counter),
     McStallCycles       => ("multicore/channel/stall_cycles", Counter),
     McQueueDepth        => ("multicore/channel/queue_depth", Histogram),
-    McBatches           => ("multicore/epoch/batches", Counter),
     McEpochs            => ("multicore/epoch/epochs", Counter),
     McShardEpochNanos   => ("multicore/epoch/shard_epoch_nanos", Histogram),
     McComposeNanos      => ("multicore/epoch/compose_nanos", Counter),
@@ -151,7 +150,6 @@ metrics! {
     McFaultsInjected    => ("multicore/resilience/faults_injected", Counter),
     McEpochsLost        => ("multicore/resilience/epochs_lost", Counter),
     McEpochsRecovered   => ("multicore/resilience/epochs_recovered", Counter),
-    McRecoveryRetries   => ("multicore/resilience/retries", Counter),
     McDegradedEpochs    => ("multicore/resilience/degraded_epochs", Counter),
     McShardsLost        => ("multicore/resilience/shards_lost", Counter),
     McRecoveryNanos     => ("multicore/resilience/recovery_nanos", Histogram),
