@@ -10,11 +10,21 @@
 //! * `indexed-batched` — one `batch` call over one snapshot;
 //! * `snapshot` — the cost of freezing the index once (what a reader
 //!   thread pays to join).
+//!
+//! A second group, `stitched-queries`, asks stitched backward, forward
+//! and from-address queries over an **in-memory** cold tier whose open
+//! tail is non-empty, each query through a fresh `StitchedSource` (what
+//! the `*_stitched` entry points do). Every cold segment, the tail
+//! included, should decode once per store, so these times are the
+//! walks themselves.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dift_dbi::Engine;
 use dift_ddg::{DdgGraph, OnTrac, OnTracConfig};
-use dift_slicing::{KindMask, SliceQuery, SliceService, Slicer};
+use dift_slicing::{
+    backward_from_addr_stitched, backward_stitched, forward_stitched, KindMask, SliceQuery,
+    SliceService, Slicer,
+};
 use dift_workloads::spec::{mcf_like, Size};
 
 fn bench_slicing(c: &mut Criterion) {
@@ -85,5 +95,61 @@ fn bench_slicing(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_slicing);
+fn bench_stitched(c: &mut Criterion) {
+    let mut g = c.benchmark_group("stitched-queries");
+    g.sample_size(20);
+    g.warm_up_time(std::time::Duration::from_millis(500));
+    g.measurement_time(std::time::Duration::from_millis(1500));
+
+    let w = mcf_like(Size::Tiny);
+    let mut cfg = OnTracConfig::optimized(1 << 10);
+    cfg.cold_tier = true;
+    let m = w.machine();
+    let mem = m.config().mem_words;
+    let mut tracer = OnTrac::new(&w.program, mem, cfg);
+    Engine::new(m).run_tool(&mut tracer);
+    let cold = tracer.cold_store().expect("the cold tier is on");
+    assert!(cold.segment_count() > cold.segment_metas().len(), "the open tail must hold records");
+    let snap = tracer.slice_index().expect("presets enable the index").snapshot();
+    let first = cold.first_user().expect("the budget evicts");
+    let last = tracer.buffer().records().last().map_or(first, |r| r.dep.user);
+    let criteria: Vec<u64> = (0..8).map(|i| first + (last - first) * i / 8).collect();
+    let addrs: Vec<_> = {
+        let mut a: Vec<_> = tracer.buffer().records().map(|r| r.user_addr).collect();
+        a.sort_unstable();
+        a.dedup();
+        a.into_iter().take(4).collect()
+    };
+
+    g.bench_function("backward", |b| {
+        b.iter(|| {
+            let n: usize = criteria
+                .iter()
+                .map(|&s| backward_stitched(&snap, cold, &[s], KindMask::classic()).len())
+                .sum();
+            black_box(n)
+        })
+    });
+    g.bench_function("forward", |b| {
+        b.iter(|| {
+            let n: usize = criteria
+                .iter()
+                .map(|&s| forward_stitched(&snap, cold, &[s], KindMask::data_only()).len())
+                .sum();
+            black_box(n)
+        })
+    });
+    g.bench_function("from-addr", |b| {
+        b.iter(|| {
+            let n: usize = addrs
+                .iter()
+                .map(|&a| backward_from_addr_stitched(&snap, cold, a, KindMask::classic()).len())
+                .sum();
+            black_box(n)
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_slicing, bench_stitched);
 criterion_main!(benches);

@@ -58,11 +58,20 @@
 //!
 //! # The shared decode memo
 //!
-//! Decoded segments are cached in a store-wide bounded LRU
+//! A segment decodes into flat sorted arrays (the records in user
+//! order, their indices stably sorted by def, and `(addr, step)`
+//! pairs), each looked up with `partition_point` — no per-step or
+//! per-address allocation. A step's metadata comes from the earlier of
+//! its first use and its first def, so it needs no array of its own.
+//! Decoded
+//! segments are cached in a store-wide bounded LRU
 //! ([`ColdStore::set_memo_capacity`]) shared by every [`ColdView`] —
 //! concurrent stitched readers decode a hot segment once, not once per
-//! view. `ddg/cold/memo_hits` / `ddg/cold/memo_evictions` gauge its
-//! behavior.
+//! view. The open tail has one extra slot in the same memo, keyed by
+//! the id it will seal under and its record count: it too decodes once
+//! per store, and any append or seal changes the key, so a stale decode
+//! is never served. `ddg/cold/memo_hits` / `ddg/cold/memo_evictions`
+//! gauge its behavior.
 //!
 //! # Why live ∪ cold is the full execution
 //!
@@ -81,11 +90,9 @@ use crate::dep::DepKind;
 use crate::durable::{CorruptKind, IoStats, LoadError, ScrubReport, SegmentStore};
 use crate::iofault::{IoFaultPlan, NoopIoFaults};
 use dift_isa::{Addr, StmtId};
-use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::Path;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -157,11 +164,21 @@ struct ColdSegment {
     last_user: u64,
     min_def: u64,
     count: u32,
+    /// Set only by [`ColdStore::tamper_open_payload`]: the tail never
+    /// leaves memory, so otherwise a failed decode is a bug.
+    tampered: bool,
 }
 
 impl ColdSegment {
     fn new() -> ColdSegment {
-        ColdSegment { bytes: Vec::new(), first_user: 0, last_user: 0, min_def: u64::MAX, count: 0 }
+        ColdSegment {
+            bytes: Vec::new(),
+            first_user: 0,
+            last_user: 0,
+            min_def: u64::MAX,
+            count: 0,
+            tampered: false,
+        }
     }
 
     fn meta(&self) -> SegMeta {
@@ -269,14 +286,59 @@ impl Iterator for RecordIter<'_> {
     }
 }
 
-/// One segment decoded into adjacency form, mirroring the live index's
-/// per-chunk layout.
-#[derive(Debug, Default)]
+/// One segment decoded into flat sorted arrays, each looked up with
+/// `partition_point`. Runs of equal keys keep record order, so
+/// adjacency comes back in the order the records were appended.
+#[derive(Debug)]
 struct DecodedSeg {
-    defs_of: HashMap<u64, Vec<(u64, DepKind)>>,
-    users_of: HashMap<u64, Vec<(u64, DepKind)>>,
-    meta: HashMap<u64, (Addr, StmtId)>,
-    addr_steps: HashMap<Addr, BTreeSet<u64>>,
+    /// The records in record order, so sorted by user (user steps are
+    /// non-decreasing within a segment).
+    by_user: Vec<RawRec>,
+    /// Indices into `by_user`, stably sorted by def.
+    by_def: Vec<u32>,
+    /// `(addr, step)` sorted and deduplicated.
+    addr_steps: Vec<(Addr, u64)>,
+}
+
+/// The run of `sorted` entries whose key is `key`.
+fn run_of<T, K: Ord>(sorted: &[T], key: K, key_of: impl Fn(&T) -> K) -> &[T] {
+    let lo = sorted.partition_point(|e| key_of(e) < key);
+    let len = sorted[lo..].partition_point(|e| key_of(e) == key);
+    &sorted[lo..lo + len]
+}
+
+impl DecodedSeg {
+    /// Indices into `by_user` of the records whose def is `step`, in
+    /// record order.
+    fn def_run(&self, step: u64) -> &[u32] {
+        run_of(&self.by_def, step, |&i| self.by_user[i as usize].def)
+    }
+
+    fn defs(&self, step: u64) -> impl Iterator<Item = (u64, DepKind)> + '_ {
+        run_of(&self.by_user, step, |r| r.user).iter().map(|r| (r.def, r.kind))
+    }
+
+    fn users(&self, step: u64) -> impl Iterator<Item = (u64, DepKind)> + '_ {
+        self.def_run(step).iter().map(|&i| {
+            let r = &self.by_user[i as usize];
+            (r.user, r.kind)
+        })
+    }
+
+    /// The step's first mention in record order, numbering record `i`'s
+    /// user side `2i` and its def side `2i + 1`.
+    fn meta_of(&self, step: u64) -> Option<(Addr, StmtId)> {
+        let u = self.by_user.partition_point(|r| r.user < step);
+        let as_user = self.by_user.get(u).filter(|r| r.user == step).map(|_| 2 * u);
+        let as_def = self.def_run(step).first().map(|&i| 2 * i as usize + 1);
+        let first = as_user.into_iter().chain(as_def).min()?;
+        let r = &self.by_user[first / 2];
+        Some(if first % 2 == 0 { (r.user_addr, r.user_stmt) } else { (r.def_addr, r.def_stmt) })
+    }
+
+    fn steps_at(&self, addr: Addr) -> impl Iterator<Item = u64> + '_ {
+        run_of(&self.addr_steps, addr, |e| e.0).iter().map(|&(_, step)| step)
+    }
 }
 
 /// Decode a payload **and validate the pruning metadata against it**
@@ -289,7 +351,9 @@ fn decode_validated(payload: &[u8], meta: &SegMeta) -> Result<DecodedSeg, Corrup
         // Sealed segments always hold records; a zero count is a lie.
         return Err(CorruptKind::MetaMismatch);
     }
-    let mut out = DecodedSeg::default();
+    let n = meta.count as usize;
+    let mut by_user = Vec::with_capacity(n);
+    let mut addr_steps = Vec::with_capacity(2 * n);
     let (mut first, mut last, mut min_def) = (0u64, 0u64, u64::MAX);
     let mut iter = RecordIter::new(payload, meta.count);
     for (seen, rec) in (&mut iter).enumerate() {
@@ -299,12 +363,9 @@ fn decode_validated(payload: &[u8], meta: &SegMeta) -> Result<DecodedSeg, Corrup
         }
         last = r.user;
         min_def = min_def.min(r.def);
-        out.defs_of.entry(r.user).or_default().push((r.def, r.kind));
-        out.users_of.entry(r.def).or_default().push((r.user, r.kind));
-        out.meta.entry(r.user).or_insert((r.user_addr, r.user_stmt));
-        out.meta.entry(r.def).or_insert((r.def_addr, r.def_stmt));
-        out.addr_steps.entry(r.user_addr).or_default().insert(r.user);
-        out.addr_steps.entry(r.def_addr).or_default().insert(r.def);
+        addr_steps.push((r.user_addr, r.user));
+        addr_steps.push((r.def_addr, r.def));
+        by_user.push(r);
     }
     if iter.pos != payload.len() {
         // Trailing bytes: the count under-reports the payload.
@@ -313,7 +374,11 @@ fn decode_validated(payload: &[u8], meta: &SegMeta) -> Result<DecodedSeg, Corrup
     if first != meta.first_user || last != meta.last_user || min_def != meta.min_def {
         return Err(CorruptKind::MetaMismatch);
     }
-    Ok(out)
+    let mut by_def: Vec<u32> = (0..meta.count).collect();
+    by_def.sort_by_key(|&i| by_user[i as usize].def);
+    addr_steps.sort_unstable();
+    addr_steps.dedup();
+    Ok(DecodedSeg { by_user, by_def, addr_steps })
 }
 
 /// Rung-2 validation without keeping the decoded form (used by the
@@ -354,6 +419,9 @@ pub struct QuarantineEvent {
 struct QuarantineLedger {
     /// Blacklisted sealed-segment ids (never decoded again).
     ids: HashSet<u64>,
+    /// Ids of open tails already counted corrupt, so the segment they
+    /// seal into is not counted twice.
+    tails: HashSet<u64>,
     /// Every corruption observed, in discovery order.
     events: Vec<QuarantineEvent>,
 }
@@ -372,7 +440,8 @@ struct ColdRuntime {
 
 /// The shared bounded-LRU decode memo: concurrent [`ColdView`]s over
 /// one store decode a hot segment exactly once. Decoding happens under
-/// the lock — that *is* the sharing guarantee.
+/// the lock — that *is* the sharing guarantee. Besides the LRU it holds
+/// one slot for the open tail.
 #[derive(Debug)]
 struct DecodeMemo {
     inner: Mutex<MemoInner>,
@@ -386,7 +455,14 @@ struct MemoInner {
     cap: usize,
     tick: u64,
     map: HashMap<u64, MemoEntry>,
+    /// The open tail's decode (or its failure), keyed by [`TailKey`].
+    open: Option<(TailKey, Result<Arc<DecodedSeg>, CorruptKind>)>,
 }
+
+/// Identity of the open tail's contents: the id it will seal under and
+/// its record count. Appends raise the count and seals (or compactions)
+/// raise the id, so the key never repeats with different bytes.
+type TailKey = (u64, u32);
 
 #[derive(Debug)]
 struct MemoEntry {
@@ -397,7 +473,12 @@ struct MemoEntry {
 impl DecodeMemo {
     fn new(cap: usize) -> DecodeMemo {
         DecodeMemo {
-            inner: Mutex::new(MemoInner { cap: cap.max(1), tick: 0, map: HashMap::new() }),
+            inner: Mutex::new(MemoInner {
+                cap: cap.max(1),
+                tick: 0,
+                map: HashMap::new(),
+                open: None,
+            }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -427,6 +508,26 @@ impl DecodeMemo {
         }
         inner.map.insert(id, MemoEntry { seg: Arc::clone(&seg), stamp: now });
         Ok(seg)
+    }
+
+    /// The open tail's slot: decode on a key change, serve the cached
+    /// result (a failure included) otherwise. Counted like the LRU.
+    fn get_or_decode_open(
+        &self,
+        key: TailKey,
+        decode: impl FnOnce() -> Result<DecodedSeg, CorruptKind>,
+    ) -> Result<Arc<DecodedSeg>, CorruptKind> {
+        let mut inner = self.inner.lock().unwrap();
+        if let Some((k, res)) = &inner.open {
+            if *k == key {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return res.clone();
+            }
+        }
+        let res = decode().map(Arc::new);
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        inner.open = Some((key, res.clone()));
+        res
     }
 
     fn set_cap(&self, cap: usize) {
@@ -682,7 +783,8 @@ impl<F: IoFaultPlan> ColdStore<F> {
         self.memo.hits.load(Ordering::Relaxed)
     }
 
-    /// Decode-memo misses — the number of segment decodes performed.
+    /// Decode-memo misses — the number of segment decodes performed
+    /// (open-tail decodes included).
     pub fn memo_misses(&self) -> u64 {
         self.memo.misses.load(Ordering::Relaxed)
     }
@@ -743,6 +845,7 @@ impl<F: IoFaultPlan> ColdStore<F> {
         for seg in &self.sealed {
             let _ = view.decoded_sealed(seg);
         }
+        let _ = view.decoded_open();
         self.missing_step_ranges()
     }
 
@@ -763,10 +866,28 @@ impl<F: IoFaultPlan> ColdStore<F> {
                 last_user: seg.meta.last_user,
                 reason,
             });
+            if !ledger.tails.contains(&seg.id) {
+                self.runtime.corrupt.fetch_add(1, Ordering::Relaxed);
+            }
         }
-        self.runtime.corrupt.fetch_add(1, Ordering::Relaxed);
         if let (SegPayload::Disk { seq, .. }, Some(store)) = (&seg.payload, &self.spill) {
             store.quarantine(*seq);
+        }
+    }
+
+    /// Record a failed open-tail decode as the tail's step range, so a
+    /// checked query reports it `Degraded`. Not blacklisted: the tail
+    /// still grows, each new [`TailKey`] decodes again, and once sealed
+    /// the segment goes through the sealed path like any other.
+    fn note_corrupt_open(&self, seg: &ColdSegment, reason: CorruptKind) {
+        let mut ledger = self.runtime.quarantine.lock().unwrap();
+        ledger.events.push(QuarantineEvent {
+            first_user: seg.first_user,
+            last_user: seg.last_user,
+            reason,
+        });
+        if ledger.tails.insert(self.next_id) {
+            self.runtime.corrupt.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -921,20 +1042,31 @@ impl<F: IoFaultPlan> ColdStore<F> {
             bytes[byte % n] ^= 0x40;
         }
     }
+
+    /// Test hook: flip a byte of the open tail's payload. Drops the
+    /// tail's memo slot, whose key an in-place edit does not change.
+    #[doc(hidden)]
+    pub fn tamper_open_payload(&mut self, byte: usize) {
+        if let Some(seg) = self.open.as_mut().filter(|s| !s.bytes.is_empty()) {
+            let n = seg.bytes.len();
+            seg.bytes[byte % n] ^= 0x40;
+            seg.tampered = true;
+            self.memo.inner.lock().unwrap().open = None;
+        }
+    }
 }
 
-/// A read view over a [`ColdStore`]. Sealed segments decode through
-/// the store's **shared** bounded-LRU memo (concurrent views decode a
-/// hot segment once); the open segment is decoded per view. Create one
-/// per query batch.
+/// A read view over a [`ColdStore`]. Every segment, the open tail
+/// included, decodes through the store's **shared** memo, so views are
+/// free to create: concurrent or successive views decode a segment once
+/// per store.
 pub struct ColdView<'a, F: IoFaultPlan = NoopIoFaults> {
     store: &'a ColdStore<F>,
-    open_cache: RefCell<Option<Rc<DecodedSeg>>>,
 }
 
 impl<'a, F: IoFaultPlan> ColdView<'a, F> {
     pub fn new(store: &'a ColdStore<F>) -> ColdView<'a, F> {
-        ColdView { store, open_cache: RefCell::new(None) }
+        ColdView { store }
     }
 
     fn decoded_sealed(&self, seg: &SealedSeg) -> Option<Arc<DecodedSeg>> {
@@ -950,19 +1082,30 @@ impl<'a, F: IoFaultPlan> ColdView<'a, F> {
         }
     }
 
-    fn decoded_open(&self) -> Option<Rc<DecodedSeg>> {
-        if let Some(d) = self.open_cache.borrow().as_ref() {
-            return Some(Rc::clone(d));
-        }
-        let seg = self.store.open.as_ref()?;
-        if seg.count == 0 {
-            return None;
-        }
-        // The open segment was encoded by this process and never left
-        // memory; validation is a cheap invariant check here.
-        let d = Rc::new(decode_validated(&seg.bytes, &seg.meta()).ok()?);
-        *self.open_cache.borrow_mut() = Some(Rc::clone(&d));
-        Some(d)
+    fn decoded_open(&self) -> Option<Arc<DecodedSeg>> {
+        let seg = self.store.open.as_ref().filter(|s| s.count > 0)?;
+        let key = (self.store.next_id, seg.count);
+        let decode = || {
+            decode_validated(&seg.bytes, &seg.meta()).inspect_err(|&kind| {
+                debug_assert!(seg.tampered, "in-memory open tail failed to decode: {kind:?}");
+                self.store.note_corrupt_open(seg, kind);
+            })
+        };
+        self.store.memo.get_or_decode_open(key, decode).ok()
+    }
+
+    /// Decoded segments whose metadata passes `candidate`: sealed ones
+    /// oldest-first, then the open tail. Corrupt segments are skipped
+    /// (and quarantined on first sight).
+    fn decoded<'v>(
+        &'v self,
+        candidate: impl Fn(&SegMeta) -> bool + Copy + 'v,
+    ) -> impl Iterator<Item = Arc<DecodedSeg>> + 'v {
+        let sealed = self.store.sealed.iter().filter(move |s| candidate(&s.meta));
+        let open = self.store.open.as_ref().filter(move |s| candidate(&s.meta()));
+        sealed
+            .filter_map(|seg| self.decoded_sealed(seg))
+            .chain(open.into_iter().filter_map(|_| self.decoded_open()))
     }
 
     /// Cold dependences whose user is `step`: `(def, kind)` pairs.
@@ -970,21 +1113,8 @@ impl<'a, F: IoFaultPlan> ColdView<'a, F> {
     /// per segment; decode happens for candidate segments only.
     pub fn defs(&self, step: u64) -> Vec<(u64, DepKind)> {
         let mut out = Vec::new();
-        for seg in &self.store.sealed {
-            if seg.meta.may_have_user(step) {
-                if let Some(d) = self.decoded_sealed(seg) {
-                    if let Some(v) = d.defs_of.get(&step) {
-                        out.extend_from_slice(v);
-                    }
-                }
-            }
-        }
-        if self.store.open.as_ref().is_some_and(|s| s.meta().may_have_user(step)) {
-            if let Some(d) = self.decoded_open() {
-                if let Some(v) = d.defs_of.get(&step) {
-                    out.extend_from_slice(v);
-                }
-            }
+        for d in self.decoded(|m| m.may_have_user(step)) {
+            out.extend(d.defs(step));
         }
         out
     }
@@ -995,49 +1125,16 @@ impl<'a, F: IoFaultPlan> ColdView<'a, F> {
     /// candidate.
     pub fn users(&self, step: u64) -> Vec<(u64, DepKind)> {
         let mut out = Vec::new();
-        for seg in &self.store.sealed {
-            if seg.meta.may_have_def(step) {
-                if let Some(d) = self.decoded_sealed(seg) {
-                    if let Some(v) = d.users_of.get(&step) {
-                        out.extend_from_slice(v);
-                    }
-                }
-            }
-        }
-        if self.store.open.as_ref().is_some_and(|s| s.meta().may_have_def(step)) {
-            if let Some(d) = self.decoded_open() {
-                if let Some(v) = d.users_of.get(&step) {
-                    out.extend_from_slice(v);
-                }
-            }
+        for d in self.decoded(|m| m.may_have_def(step)) {
+            out.extend(d.users(step));
         }
         out
     }
 
     /// Metadata for a step mentioned anywhere in the cold tier.
     pub fn meta_of(&self, step: u64) -> Option<(Addr, StmtId)> {
-        for seg in &self.store.sealed {
-            if seg.meta.may_have_user(step) || seg.meta.may_have_def(step) {
-                if let Some(d) = self.decoded_sealed(seg) {
-                    if let Some(&m) = d.meta.get(&step) {
-                        return Some(m);
-                    }
-                }
-            }
-        }
-        let open_candidate = self
-            .store
-            .open
-            .as_ref()
-            .is_some_and(|s| s.meta().may_have_user(step) || s.meta().may_have_def(step));
-        if open_candidate {
-            if let Some(d) = self.decoded_open() {
-                if let Some(&m) = d.meta.get(&step) {
-                    return Some(m);
-                }
-            }
-        }
-        None
+        self.decoded(|m| m.may_have_user(step) || m.may_have_def(step))
+            .find_map(|d| d.meta_of(step))
     }
 
     /// Cold steps executed at `addr`, ascending and deduplicated.
@@ -1046,20 +1143,13 @@ impl<'a, F: IoFaultPlan> ColdView<'a, F> {
     /// shared memo); it is the by-address criterion path, not the walk
     /// hot path.
     pub fn steps_at(&self, addr: Addr) -> Vec<u64> {
-        let mut steps = BTreeSet::new();
-        for seg in &self.store.sealed {
-            if let Some(d) = self.decoded_sealed(seg) {
-                if let Some(set) = d.addr_steps.get(&addr) {
-                    steps.extend(set.iter().copied());
-                }
-            }
+        let mut steps = Vec::new();
+        for d in self.decoded(|_| true) {
+            steps.extend(d.steps_at(addr));
         }
-        if let Some(d) = self.decoded_open() {
-            if let Some(set) = d.addr_steps.get(&addr) {
-                steps.extend(set.iter().copied());
-            }
-        }
-        steps.into_iter().collect()
+        steps.sort_unstable();
+        steps.dedup();
+        steps
     }
 }
 
@@ -1230,6 +1320,180 @@ mod tests {
             probes.iter().map(|&s| (view.defs(s), view.users(s), view.meta_of(s))).collect()
         };
         assert_eq!(before, after, "compaction must be semantics-preserving");
+    }
+
+    #[test]
+    fn open_tail_decodes_once_per_store_and_follows_appends() {
+        let mut store = ColdStore::new();
+        for i in 1..=100u64 {
+            store.append(&rec(i, i - 1, DepKind::RegData));
+        }
+        for _ in 0..3 {
+            let view = ColdView::new(&store);
+            assert_eq!(view.defs(50), vec![(49, DepKind::RegData)]);
+        }
+        assert_eq!(store.memo_misses(), 1, "one decode shared by every view");
+        assert_eq!(store.memo_hits(), 2);
+        store.append(&rec(101, 100, DepKind::MemData));
+        let view = ColdView::new(&store);
+        assert_eq!(view.defs(101), vec![(100, DepKind::MemData)], "the new record is visible");
+        assert_eq!(view.users(100), vec![(101, DepKind::MemData)]);
+        assert_eq!(store.memo_misses(), 2, "an append re-keys the tail");
+        // Past a seal, answers equal a store that was never queried.
+        let n = u64::from(SEGMENT_RECORDS) + 100;
+        let mut fresh = ColdStore::new();
+        for i in 1..=n {
+            let r = if i == 101 {
+                rec(101, 100, DepKind::MemData)
+            } else {
+                rec(i, i - 1, DepKind::RegData)
+            };
+            if i > 101 {
+                store.append(&r);
+            }
+            fresh.append(&r);
+        }
+        assert_eq!(store.segment_count(), 2);
+        let (v, f) = (ColdView::new(&store), ColdView::new(&fresh));
+        for s in (0..=n + 1).step_by(7).chain([100, 101, n]) {
+            assert_eq!(v.defs(s), f.defs(s), "defs({s})");
+            assert_eq!(v.users(s), f.users(s), "users({s})");
+            assert_eq!(v.meta_of(s), f.meta_of(s), "meta_of({s})");
+        }
+        for a in 0..11 {
+            assert_eq!(v.steps_at(a), f.steps_at(a), "steps_at({a})");
+        }
+    }
+
+    #[test]
+    fn damaged_open_tail_is_recorded_once_as_its_range() {
+        let mut store = ColdStore::new();
+        for i in 100..=140u64 {
+            store.append(&rec(i, i - 1, DepKind::RegData));
+        }
+        // Byte 2 is the first record's kind byte: an undecodable kind.
+        store.tamper_open_payload(2);
+        let view = ColdView::new(&store);
+        assert!(view.defs(120).is_empty(), "a damaged tail answers empty");
+        assert!(view.defs(130).is_empty());
+        assert_eq!(store.missing_step_ranges(), vec![(100, 140)]);
+        assert_eq!(store.corruption_events()[0].reason, CorruptKind::BadRecord);
+        assert_eq!(store.corrupt_segments(), 1);
+        assert_eq!(store.memo_misses(), 1, "the failure is cached like a decode");
+        // The damaged bytes seal into a segment: same segment, one
+        // count, and the loss grows to its sealed range.
+        let last = 99 + u64::from(SEGMENT_RECORDS);
+        for i in 141..=last {
+            store.append(&rec(i, i - 1, DepKind::RegData));
+        }
+        assert_eq!(store.verify(), vec![(100, last)]);
+        assert_eq!(store.corrupt_segments(), 1);
+    }
+
+    /// A naive index of the raw record stream, built by one linear pass
+    /// in append order: what every [`ColdView`] lookup must reproduce.
+    #[derive(Default)]
+    struct Naive {
+        defs: HashMap<u64, Vec<(u64, DepKind)>>,
+        users: HashMap<u64, Vec<(u64, DepKind)>>,
+        meta: HashMap<u64, (Addr, StmtId)>,
+        at: HashMap<Addr, std::collections::BTreeSet<u64>>,
+    }
+
+    impl Naive {
+        fn new(records: &[BufRecord]) -> Naive {
+            let mut n = Naive::default();
+            for r in records {
+                let d = r.dep;
+                n.defs.entry(d.user).or_default().push((d.def, d.kind));
+                n.users.entry(d.def).or_default().push((d.user, d.kind));
+                n.meta.entry(d.user).or_insert((r.user_addr, r.user_stmt));
+                n.meta.entry(d.def).or_insert((r.def_addr, r.def_stmt));
+                n.at.entry(r.user_addr).or_default().insert(d.user);
+                n.at.entry(r.def_addr).or_default().insert(d.def);
+            }
+            n
+        }
+
+        fn check(&self, store: &ColdStore, max_step: u64) -> Result<(), String> {
+            let view = ColdView::new(store);
+            for s in 0..=max_step + 1 {
+                let want = self.defs.get(&s).cloned().unwrap_or_default();
+                if view.defs(s) != want {
+                    return Err(format!("defs({s}): {:?} != {want:?}", view.defs(s)));
+                }
+                let want = self.users.get(&s).cloned().unwrap_or_default();
+                if view.users(s) != want {
+                    return Err(format!("users({s}): {:?} != {want:?}", view.users(s)));
+                }
+                if view.meta_of(s) != self.meta.get(&s).copied() {
+                    return Err(format!("meta_of({s}): {:?}", view.meta_of(s)));
+                }
+            }
+            for a in 0..8 {
+                let want: Vec<u64> =
+                    self.at.get(&a).map_or(Vec::new(), |s| s.iter().copied().collect());
+                if view.steps_at(a) != want {
+                    return Err(format!("steps_at({a}): {:?} != {want:?}", view.steps_at(a)));
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// One record's draws: `((mode, dist, hot, kind), (user_addr, def_addr))`.
+    type Draw = ((u64, u64, u64, u8), (u32, u32));
+
+    /// Record stream from draws: `mode` 0 jumps back when `jumpy` (a
+    /// non-monotone user seals the segment early; without jumps, long
+    /// streams seal full segments that `compact` can merge), other
+    /// modes below 40 repeat the user, the rest step 1..=3; `hot` < 4
+    /// points the def at one of four hot steps (many users per def);
+    /// addresses come from 0..6 (collisions).
+    fn stream(jumpy: bool, draws: &[Draw]) -> Vec<BufRecord> {
+        let mut user = 0u64;
+        let mut out = Vec::with_capacity(draws.len());
+        for &((mode, dist, hot, kind), (ua, da)) in draws {
+            user = match mode {
+                0 if jumpy => user.saturating_sub(1 + dist * 3),
+                0..40 => user,
+                _ => user + mode % 3 + 1,
+            };
+            let def = if hot < 4 { hot.min(user) } else { user - dist.min(user) };
+            let kind = kind_from_byte(kind).unwrap();
+            out.push(crate::buffer::record(user, def, kind, ua, da, ua * 3 + 1, da * 3 + 2));
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn flat_lookups_match_a_linear_scan(
+            draws in proptest::collection::vec(
+                ((0u64..80, 0u64..12, 0u64..16, 0u8..5), (0u32..6, 0u32..6)),
+                0..4200,
+            ),
+            jumpy in 0u8..2,
+            retain_pct in 0u64..50,
+        ) {
+            let records = stream(jumpy == 1, &draws);
+            let mut store = ColdStore::new();
+            for r in &records {
+                store.append(r);
+            }
+            let naive = Naive::new(&records);
+            let max_step = records.iter().map(|r| r.dep.user).max().unwrap_or(0);
+            if let Err(e) = naive.check(&store, max_step) {
+                proptest::prop_assert!(false, "{}", e);
+            }
+            let retain = max_step * retain_pct / 100;
+            store.compact(retain);
+            if let Err(e) = naive.check(&store, max_step) {
+                proptest::prop_assert!(false, "after compact({}): {}", retain, e);
+            }
+        }
     }
 
     #[test]

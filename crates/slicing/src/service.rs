@@ -176,9 +176,9 @@ pub fn backward_from_addr_over<S: DepSource + ?Sized>(
 /// Every record is in exactly one tier, so chaining the two adjacency
 /// sets loses nothing and duplicates nothing that matters (slices are
 /// step *sets*; a duplicate edge re-proposes a step the walk's `seen`
-/// set already absorbed). The [`ColdView`] inside memoizes segment
-/// decoding for the source's lifetime — create one source per query
-/// batch.
+/// set already absorbed). Cold segments, the open tail included,
+/// decode through the store's shared memo, so a source is cheap to
+/// create: one per query costs no extra decoding.
 pub struct StitchedSource<'a, F: IoFaultPlan = NoopIoFaults> {
     live: &'a SliceSnapshot,
     cold: ColdView<'a, F>,
@@ -637,6 +637,24 @@ mod tests {
         assert_eq!(b.steps, [6, 8].into_iter().collect::<BTreeSet<_>>());
         let mt = svc.backward(&[8], KindMask::multithreaded());
         assert_eq!(mt.steps, [1, 2, 3, 4, 5, 6, 8].into_iter().collect::<BTreeSet<_>>());
+    }
+
+    #[test]
+    fn damaged_open_tail_degrades_checked_queries_to_its_range() {
+        let (_, idx) = index();
+        let snap = idx.snapshot();
+        let mut cold = ColdStore::new();
+        for i in 100..=140u64 {
+            cold.append(&record(i, i - 1, DepKind::RegData, 7, 7, i as u32, i as u32 - 1));
+        }
+        let whole = forward_stitched_checked(&snap, &cold, &[100], KindMask::data_only());
+        assert_eq!(whole, StitchedOutcome::Full(whole.slice().clone()));
+        assert_eq!(whole.slice().len(), 41);
+        // Byte 2 is the first record's kind byte: the tail cannot decode.
+        cold.tamper_open_payload(2);
+        let out = backward_stitched_checked(&snap, &cold, &[140], KindMask::classic());
+        assert_eq!(out.missing_step_ranges(), &[(100, 140)]);
+        assert!(!out.slice().contains_step(139), "the tail's records are gone");
     }
 
     #[test]
