@@ -9,6 +9,12 @@ use std::sync::Arc;
 /// Sets are value-like handles; the backend owns any shared structure.
 /// `union_cost` reports the cycle charge of the union just performed, so
 /// the engine's cost model reflects representation-specific work.
+///
+/// Shadow-memory accounting is incremental: the engine
+/// [`retain`](Self::retain)s a set when a shadow location starts
+/// holding it and [`release`](Self::release)s it when the location is
+/// overwritten, so [`live_bytes`](Self::live_bytes) is O(1) at every
+/// sample point. Both ignore empty sets, which occupy no shadow state.
 pub trait LineageBackend {
     type Set: Clone + PartialEq + std::fmt::Debug;
 
@@ -29,20 +35,46 @@ pub trait LineageBackend {
         v
     }
     fn len(&self, s: &Self::Set) -> u64;
-    /// Bytes attributable to storing `stored` live sets right now.
-    fn shadow_bytes(&self, stored: &[&Self::Set]) -> usize;
+    /// One more shadow location now holds `s` (no-op when empty).
+    fn retain(&mut self, s: &Self::Set);
+    /// One shadow location no longer holds `s`, which it retained
+    /// (no-op when empty).
+    fn release(&mut self, s: &Self::Set);
+    /// Bytes attributable to the currently retained sets.
+    fn live_bytes(&self) -> usize;
     fn name(&self) -> &'static str;
 }
 
 /// roBDD-backed sets: canonical, hash-consed, range-friendly.
+///
+/// Accounting charges the store a garbage-collected manager would keep
+/// for the retained sets: 16 bytes per live decision node (shared nodes
+/// once) plus a 4-byte handle per retained root. A node is live while
+/// its reference count — retained roots naming it plus live parents
+/// pointing at it — is non-zero, so `live` equals the number of nodes
+/// reachable from the retained roots without walking them.
 pub struct BddBackend {
     mgr: BddManager,
+    /// Per-node reference counts, grown lazily to `node_count()`.
+    refs: Vec<u32>,
+    /// Nodes with a non-zero count.
+    live: usize,
+    /// Retained non-empty roots (terminal `TRUE` included).
+    roots: usize,
+    /// Reused work stack for count cascades.
+    stack: Vec<NodeId>,
 }
 
 impl BddBackend {
     /// `id_bits` bounds the representable input indices (`2^id_bits`).
     pub fn new(id_bits: u32) -> BddBackend {
-        BddBackend { mgr: BddManager::new(id_bits) }
+        BddBackend {
+            mgr: BddManager::new(id_bits),
+            refs: Vec::new(),
+            live: 0,
+            roots: 0,
+            stack: Vec::new(),
+        }
     }
 
     pub fn manager(&self) -> &BddManager {
@@ -89,11 +121,47 @@ impl LineageBackend for BddBackend {
         self.mgr.count(*s)
     }
 
-    fn shadow_bytes(&self, stored: &[&NodeId]) -> usize {
-        // Live store of a GC'd manager: nodes reachable from the stored
-        // sets (shared nodes counted once) plus 4-byte handles.
-        let roots: Vec<NodeId> = stored.iter().map(|&&n| n).collect();
-        self.mgr.reachable(&roots) * 16 + stored.len() * 4
+    fn retain(&mut self, s: &NodeId) {
+        if *s == FALSE {
+            return;
+        }
+        self.roots += 1;
+        if self.refs.len() < self.mgr.node_count() {
+            self.refs.resize(self.mgr.node_count(), 0);
+        }
+        // A 0→1 node turns live and takes a reference on its children.
+        self.stack.push(*s);
+        while let Some(n) = self.stack.pop() {
+            let Some((lo, hi)) = self.mgr.children(n) else { continue };
+            let r = &mut self.refs[n as usize];
+            *r += 1;
+            if *r == 1 {
+                self.live += 1;
+                self.stack.extend([lo, hi]);
+            }
+        }
+    }
+
+    fn release(&mut self, s: &NodeId) {
+        if *s == FALSE {
+            return;
+        }
+        self.roots -= 1;
+        // A 1→0 node dies and drops its references on its children.
+        self.stack.push(*s);
+        while let Some(n) = self.stack.pop() {
+            let Some((lo, hi)) = self.mgr.children(n) else { continue };
+            let r = &mut self.refs[n as usize];
+            *r -= 1;
+            if *r == 0 {
+                self.live -= 1;
+                self.stack.extend([lo, hi]);
+            }
+        }
+    }
+
+    fn live_bytes(&self) -> usize {
+        self.live * 16 + self.roots * 4
     }
 
     fn name(&self) -> &'static str {
@@ -105,13 +173,20 @@ impl LineageBackend for BddBackend {
 /// `Arc` keeps clones cheap during propagation, but the *memory
 /// accounting* deliberately charges each stored set as if unshared —
 /// that is what a per-location `std::set` implementation (the paper's
-/// baseline) pays.
+/// baseline) pays: 24 bytes of header plus 8 per element.
 #[derive(Default)]
-pub struct NaiveBackend;
+pub struct NaiveBackend {
+    /// Running sum of the retained sets' charges.
+    bytes: usize,
+}
 
 impl NaiveBackend {
     pub fn new() -> NaiveBackend {
-        NaiveBackend
+        NaiveBackend::default()
+    }
+
+    fn charge(s: &BTreeSet<u64>) -> usize {
+        24 + s.len() * 8
     }
 }
 
@@ -152,8 +227,20 @@ impl LineageBackend for NaiveBackend {
         s.len() as u64
     }
 
-    fn shadow_bytes(&self, stored: &[&Self::Set]) -> usize {
-        stored.iter().map(|s| 24 + s.len() * 8).sum()
+    fn retain(&mut self, s: &Self::Set) {
+        if !s.is_empty() {
+            self.bytes += Self::charge(s);
+        }
+    }
+
+    fn release(&mut self, s: &Self::Set) {
+        if !s.is_empty() {
+            self.bytes -= Self::charge(s);
+        }
+    }
+
+    fn live_bytes(&self) -> usize {
+        self.bytes
     }
 
     fn name(&self) -> &'static str {
@@ -216,10 +303,10 @@ mod tests {
             let s = naive.singleton(1000 + k);
             naive_sets.push(naive.union(&base_n, &s).0);
         }
-        let bdd_refs: Vec<&_> = bdd_sets.iter().collect();
-        let naive_refs: Vec<&_> = naive_sets.iter().collect();
-        let bdd_bytes = bdd.shadow_bytes(&bdd_refs);
-        let naive_bytes = naive.shadow_bytes(&naive_refs);
+        bdd_sets.iter().for_each(|s| bdd.retain(s));
+        naive_sets.iter().for_each(|s| naive.retain(s));
+        let bdd_bytes = bdd.live_bytes();
+        let naive_bytes = naive.live_bytes();
         assert!(
             bdd_bytes * 2 < naive_bytes,
             "roBDD must win on overlap: {bdd_bytes} vs {naive_bytes}"

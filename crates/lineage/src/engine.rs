@@ -24,7 +24,9 @@ pub struct LineageStats {
 ///
 /// Fields are `pub(crate)` so the shard-compose path
 /// ([`crate::shard`]) can apply per-epoch symbolic summaries directly
-/// to the shadow state.
+/// to the shadow state. Every shadow-row write, serial or composed,
+/// goes through the crate-private setters `set_reg` / `set_mem`,
+/// which keep the backend's live-set accounting in step.
 pub struct LineageEngine<B: LineageBackend> {
     pub(crate) backend: B,
     pub(crate) regs: Vec<Vec<B::Set>>,
@@ -36,8 +38,8 @@ pub struct LineageEngine<B: LineageBackend> {
     pub outputs: Vec<(u16, u64, Vec<u64>)>,
     pub(crate) out_counts: HashMap<u16, u64>,
     pub(crate) stats: LineageStats,
-    /// Sample shadow memory every N instructions (full scans are
-    /// expensive for the naive backend).
+    /// Sample shadow memory every N instructions (the peak columns of
+    /// [`LineageStats`] are maxima over these samples).
     sample_every: u64,
 }
 
@@ -69,7 +71,7 @@ impl<B: LineageBackend> LineageEngine<B> {
         self.inputs_seen
     }
 
-    pub(crate) fn ensure_tid(&mut self, tid: ThreadId) {
+    fn ensure_tid(&mut self, tid: ThreadId) {
         while self.regs.len() <= tid as usize {
             let empty = self.backend.empty();
             self.regs.push(vec![empty; NUM_REGS]);
@@ -173,14 +175,10 @@ impl<B: LineageBackend> LineageEngine<B> {
         };
 
         if let Some((r, _, _)) = fx.reg_write {
-            self.regs[t][r.index()] = out_set.clone();
+            self.set_reg(tid, r.index(), out_set.clone());
         }
         if let Some((addr, _, _)) = fx.mem_write {
-            if self.backend.is_empty(&out_set) {
-                self.mem.remove(&addr);
-            } else {
-                self.mem.insert(addr, out_set.clone());
-            }
+            self.set_mem(addr, out_set.clone());
         }
 
         if let Some((ch, _)) = fx.output {
@@ -204,17 +202,32 @@ impl<B: LineageBackend> LineageEngine<B> {
         charge
     }
 
-    pub(crate) fn sample_memory(&mut self) {
-        // Resident shadow state: memory cells plus live register labels.
-        let mut stored: Vec<&B::Set> = self.mem.values().collect();
-        for regs in &self.regs {
-            for s in regs {
-                if !self.backend.is_empty(s) {
-                    stored.push(s);
-                }
-            }
+    /// Overwrite a register's lineage. The new set is retained before
+    /// the old one is released, so rewriting a set with itself (or a
+    /// superset sharing its nodes) moves no reference count to zero
+    /// and back.
+    pub(crate) fn set_reg(&mut self, tid: ThreadId, reg: usize, s: B::Set) {
+        self.ensure_tid(tid);
+        self.backend.retain(&s);
+        let old = std::mem::replace(&mut self.regs[tid as usize][reg], s);
+        self.backend.release(&old);
+    }
+
+    /// Overwrite a memory cell's lineage; an empty set frees the cell.
+    /// Same retain-before-release order as [`set_reg`](Self::set_reg).
+    pub(crate) fn set_mem(&mut self, addr: MemAddr, s: B::Set) {
+        let empty = self.backend.is_empty(&s);
+        self.backend.retain(&s);
+        let old = if empty { self.mem.remove(&addr) } else { self.mem.insert(addr, s) };
+        if let Some(old) = old {
+            self.backend.release(&old);
         }
-        let bytes = self.backend.shadow_bytes(&stored);
+    }
+
+    /// Fold the current shadow footprint into the peak statistics —
+    /// O(1): the backend keeps the retained sets' bytes up to date.
+    pub(crate) fn sample_memory(&mut self) {
+        let bytes = self.backend.live_bytes();
         if bytes > self.stats.peak_shadow_bytes {
             self.stats.peak_shadow_bytes = bytes;
         }

@@ -252,15 +252,10 @@ impl LineageEpochSummary {
 
         // 5. Shadow rows.
         for ((tid, r), n) in reg_updates {
-            eng.ensure_tid(tid);
-            eng.regs[tid as usize][r.index()] = n;
+            eng.set_reg(tid, r.index(), n);
         }
         for (addr, n) in mem_updates {
-            if n == FALSE {
-                eng.mem.remove(&addr);
-            } else {
-                eng.mem.insert(addr, n);
-            }
+            eng.set_mem(addr, n);
         }
 
         // 6. Outputs, in stream order, with global per-channel indices.

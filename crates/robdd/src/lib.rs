@@ -18,6 +18,56 @@
 //! equality is pointer equality — tested by the property suite.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Fx-style multiplicative hasher for the manager's integer-keyed
+/// tables (`unique`, `cache`, the `count` memo). Keys are a few `u32`
+/// node ids and an op tag, so SipHash's DoS resistance buys nothing
+/// here and costs most of a table probe; this hasher folds each word
+/// in with one add and one multiply. It is unseeded, so table
+/// behaviour is deterministic run to run.
+#[derive(Clone, Copy, Default)]
+struct IdHasher(u64);
+
+impl IdHasher {
+    /// An odd constant with well-spread bits (any such works).
+    const K: u64 = 0xf135_7aea_2e62_a9c5;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = self.0.wrapping_add(word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The multiply leaves the best-mixed bits at the top; rotate
+        // some of them down to where the table takes its bucket index.
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(i as u64);
+    }
+
+    /// `Op`'s derived `Hash` writes its discriminant as an `isize`.
+    #[inline]
+    fn write_isize(&mut self, i: isize) {
+        self.add(i as u64);
+    }
+}
+
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// Node handle. `FALSE` (empty set) and `TRUE` (all-accepting) are the
 /// terminal nodes.
@@ -46,8 +96,8 @@ enum Op {
 pub struct BddManager {
     nvars: u32,
     nodes: Vec<Node>,
-    unique: HashMap<Node, NodeId>,
-    cache: HashMap<(Op, NodeId, NodeId), NodeId>,
+    unique: IdMap<Node, NodeId>,
+    cache: IdMap<(Op, NodeId, NodeId), NodeId>,
 }
 
 impl BddManager {
@@ -61,8 +111,8 @@ impl BddManager {
                 Node { var: nvars, lo: FALSE, hi: FALSE },
                 Node { var: nvars, lo: TRUE, hi: TRUE },
             ],
-            unique: HashMap::new(),
-            cache: HashMap::new(),
+            unique: IdMap::default(),
+            cache: IdMap::default(),
         }
     }
 
@@ -243,7 +293,7 @@ impl BddManager {
     /// 63` every count fits, and at `nvars = 64` every proper subset
     /// has at most 2^64 − 1 elements.
     pub fn count(&self, set: NodeId) -> u64 {
-        let mut memo: HashMap<NodeId, u64> = HashMap::new();
+        let mut memo: IdMap<NodeId, u64> = IdMap::default();
         self.count_rec(set, 0, &mut memo)
     }
 
@@ -260,7 +310,7 @@ impl BddManager {
         }
     }
 
-    fn count_rec(&self, node: NodeId, level: u32, memo: &mut HashMap<NodeId, u64>) -> u64 {
+    fn count_rec(&self, node: NodeId, level: u32, memo: &mut IdMap<NodeId, u64>) -> u64 {
         // Count assignments of variables level.. that reach TRUE.
         let var = self.var(node);
         debug_assert!(var >= level);
@@ -329,10 +379,24 @@ impl BddManager {
         if node == FALSE {
             return false;
         }
-        if level == self.nvars {
-            debug_assert_eq!(node, TRUE);
-            out.push(prefix);
-            return out.len() >= limit;
+        if node == TRUE {
+            // Every assignment of the `w` remaining variables is
+            // accepted: the subtree is one contiguous run of values,
+            // emitted in a loop rather than by 2^w recursive leaves.
+            let w = self.nvars - level;
+            let first = prefix.checked_shl(w).unwrap_or(0); // w = 64 only at the root
+            let last = if w == 0 { first } else { first | (u64::MAX >> (64 - w)) };
+            let mut v = first;
+            loop {
+                out.push(v);
+                if out.len() >= limit {
+                    return true;
+                }
+                if v == last {
+                    return false;
+                }
+                v += 1;
+            }
         }
         let var = self.var(node);
         if var > level {
@@ -397,6 +461,18 @@ impl BddManager {
         self.nodes.len()
     }
 
+    /// The `(lo, hi)` children of a decision node; `None` for the
+    /// terminals. Lets a client keep its own per-node bookkeeping (the
+    /// lineage backend's live-node reference counts) without a walk.
+    #[inline]
+    pub fn children(&self, n: NodeId) -> Option<(NodeId, NodeId)> {
+        if n <= TRUE {
+            return None;
+        }
+        let node = self.nodes[n as usize];
+        Some((node.lo, node.hi))
+    }
+
     /// Nodes reachable from `set` (its private size if nothing were
     /// shared).
     pub fn set_nodes(&self, set: NodeId) -> usize {
@@ -405,19 +481,23 @@ impl BddManager {
 
     /// Nodes reachable from any of `roots` — the store a garbage-collected
     /// manager would retain for these live sets (shared nodes counted
-    /// once).
+    /// once). A full walk: online accounting keeps reference counts
+    /// instead, and uses this only as its test oracle.
     pub fn reachable(&self, roots: &[NodeId]) -> usize {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = vec![false; self.nodes.len()];
+        let mut count = 0;
         let mut stack: Vec<NodeId> = roots.to_vec();
         while let Some(n) = stack.pop() {
-            if n == FALSE || n == TRUE || !seen.insert(n) {
+            if n <= TRUE || seen[n as usize] {
                 continue;
             }
+            seen[n as usize] = true;
+            count += 1;
             let node = self.nodes[n as usize];
             stack.push(node.lo);
             stack.push(node.hi);
         }
-        seen.len()
+        count
     }
 
     /// Bytes used by the node store (16 B per node: packed var/lo/hi plus
@@ -645,6 +725,22 @@ mod tests {
         assert_eq!(moved[3], FALSE);
         assert_eq!(moved[4], TRUE);
         assert_eq!(primary.elements(moved[2]), arena.elements(u));
+    }
+
+    #[test]
+    fn children_expose_the_decision_structure() {
+        let mut m = BddManager::new(4);
+        assert_eq!(m.children(FALSE), None);
+        assert_eq!(m.children(TRUE), None);
+        let s = m.range(0, 7); // {0..=7}: top bit 0, the rest free
+        assert_eq!(m.children(s), Some((TRUE, FALSE)));
+        let u = m.insert(s, 9);
+        let (lo, hi) = m.children(u).expect("decision node");
+        assert_eq!(lo, TRUE, "top bit 0: all of 0..=7");
+        assert_eq!(m.set_nodes(u), 1 + m.set_nodes(hi));
+        // Reachable counts each shared node once.
+        assert_eq!(m.reachable(&[u, hi, u]), m.set_nodes(u));
+        assert_eq!(m.reachable(&[u, s]), m.set_nodes(u) + 1);
     }
 
     #[test]
